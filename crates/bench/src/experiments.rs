@@ -610,35 +610,41 @@ pub fn summary_ratios() -> String {
     out
 }
 
+/// One paper experiment: `(CLI name, section title, generator)`.
+pub type Experiment = (&'static str, &'static str, fn() -> String);
+
+/// Every paper experiment, in the order [`all_experiments`] prints them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("table1", "TABLE I", table1_device_powers),
+    ("table2", "TABLE II", table2_optical_params),
+    ("fig3", "FIGURE 3", fig3_noise_precision),
+    ("fig4a", "FIGURE 4a", fig4a_spectrum),
+    ("fig4b", "FIGURE 4b", fig4b_temporal),
+    ("fig4c", "FIGURE 4c", fig4c_crosstalk_precision),
+    ("table3", "TABLE III", table3_power_breakdown),
+    ("fig7", "FIGURE 7", fig7_dataflow_trace),
+    ("fig8", "FIGURE 8", fig8_photonic_comparison),
+    ("fig9", "FIGURE 9", fig9_area_breakdown),
+    ("table4", "TABLE IV", table4_electronic_comparison),
+    ("wdm", "WDM EFFICIENCY", wdm_efficiency),
+    ("ablations", "ABLATIONS", ablation_report),
+    ("thermal", "THERMAL", thermal_sensitivity),
+    ("timing", "TIMING", timing_closure),
+    ("power-delivery", "POWER DELIVERY", power_delivery_study),
+    ("weights", "WEIGHT DISTRIBUTION", weight_distribution_study),
+    ("scaling", "SCALING", scaling_study),
+    ("dataflow", "DATAFLOW", dataflow_alternatives),
+    ("allocation", "ALLOCATION", allocation_study),
+    ("fidelity", "FIDELITY", inference_fidelity),
+    ("summary", "SUMMARY", summary_ratios),
+];
+
 /// Runs every experiment and concatenates the outputs.
 pub fn all_experiments() -> String {
     let mut out = String::new();
-    for (title, body) in [
-        ("TABLE I", table1_device_powers()),
-        ("TABLE II", table2_optical_params()),
-        ("FIGURE 3", fig3_noise_precision()),
-        ("FIGURE 4a", fig4a_spectrum()),
-        ("FIGURE 4b", fig4b_temporal()),
-        ("FIGURE 4c", fig4c_crosstalk_precision()),
-        ("TABLE III", table3_power_breakdown()),
-        ("FIGURE 7", fig7_dataflow_trace()),
-        ("FIGURE 8", fig8_photonic_comparison()),
-        ("FIGURE 9", fig9_area_breakdown()),
-        ("TABLE IV", table4_electronic_comparison()),
-        ("WDM EFFICIENCY", wdm_efficiency()),
-        ("ABLATIONS", ablation_report()),
-        ("THERMAL", thermal_sensitivity()),
-        ("TIMING", timing_closure()),
-        ("POWER DELIVERY", power_delivery_study()),
-        ("WEIGHT DISTRIBUTION", weight_distribution_study()),
-        ("SCALING", scaling_study()),
-        ("DATAFLOW", dataflow_alternatives()),
-        ("ALLOCATION", allocation_study()),
-        ("FIDELITY", inference_fidelity()),
-        ("SUMMARY", summary_ratios()),
-    ] {
+    for (_, title, run) in EXPERIMENTS {
         out.push_str(&format!("================ {title} ================\n\n"));
-        out.push_str(&body);
+        out.push_str(&run());
         out.push('\n');
     }
     out

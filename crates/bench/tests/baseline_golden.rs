@@ -7,7 +7,7 @@
 //! Regenerate with:
 //!
 //! ```text
-//! cargo run --release -p albireo-bench --bin export_csv
+//! cargo run --release -p albireo-cli -- experiment csv
 //! ```
 
 use albireo_baselines::{reported_accelerators, Accelerator, DeapCnn, Pixel};
@@ -30,7 +30,7 @@ fn golden_baseline_metrics_reproduce_byte_exactly() {
         golden_csv(),
         "baseline costs diverged from results/golden_baseline_metrics.csv; \
          if the change is intentional, regenerate with \
-         `cargo run --release -p albireo-bench --bin export_csv`"
+         `cargo run --release -p albireo-cli -- experiment csv`"
     );
 }
 

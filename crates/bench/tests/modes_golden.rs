@@ -7,7 +7,7 @@
 //! shifts fleet decisions. Regenerate with:
 //!
 //! ```text
-//! cargo run --release -p albireo-bench --bin export_csv
+//! cargo run --release -p albireo-cli -- experiment csv
 //! ```
 
 use albireo_bench::golden_modes_metrics_csv;
@@ -42,7 +42,7 @@ fn golden_modes_metrics_reproduce_byte_exactly() {
         golden_csv(),
         "operating-mode costs diverged from results/golden_modes_metrics.csv; \
          if the change is intentional, regenerate with \
-         `cargo run --release -p albireo-bench --bin export_csv`"
+         `cargo run --release -p albireo-cli -- experiment csv`"
     );
 }
 

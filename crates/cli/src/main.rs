@@ -6,12 +6,14 @@
 //! albireo sweep --param ng --values 3,9,27
 //! albireo serve --requests 500 --trace-out trace.json
 //! albireo experiment table4
+//! albireo bench oracles
+//! albireo serve --help
 //! ```
 
 mod args;
 mod commands;
 
-use args::Args;
+use commands::{CliError, Invocation};
 
 /// Every diagnostic leaves through this one formatter: a fixed header
 /// carrying the obs schema version and the run's seed (`seed=none` when
@@ -26,25 +28,21 @@ fn diagnostic(seed: Option<&str>, message: &dyn std::fmt::Display) -> String {
 }
 
 fn main() {
-    let mut raw = std::env::args().skip(1);
-    let command = match raw.next() {
-        Some(c) => c,
-        None => {
-            print!("{}", commands::USAGE);
-            return;
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (seed, result) = match commands::parse(&argv) {
+        Ok(Invocation::Help(text)) => (None, Ok(text)),
+        Ok(Invocation::Run(cmd, args)) => (
+            args.given("seed").map(str::to_string),
+            commands::run(cmd, &args),
+        ),
+        Err(e) => (None, Err(e)),
     };
-    let parsed = match Args::parse(raw) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{}", diagnostic(None, &e));
-            std::process::exit(2);
-        }
-    };
-    let seed = parsed.get("seed").map(str::to_string);
-    match commands::dispatch(&command, &parsed) {
+    match result {
         Ok(output) => print!("{output}"),
         Err(e) => {
+            if let CliError::Gate { output, .. } = &e {
+                print!("{output}");
+            }
             eprintln!("{}", diagnostic(seed.as_deref(), &e));
             if e.is_usage() {
                 eprintln!("run `albireo help` for usage");

@@ -3,9 +3,10 @@
 
 use std::process::Command;
 
-fn run(args: &[&str]) -> (String, String, bool) {
+/// Runs the binary on a whitespace-separated argument line.
+fn run(line: &str) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_albireo"))
-        .args(args)
+        .args(line.split_whitespace())
         .output()
         .expect("binary runs");
     (
@@ -16,114 +17,60 @@ fn run(args: &[&str]) -> (String, String, bool) {
 }
 
 #[test]
-fn no_arguments_prints_usage() {
-    let (stdout, _, ok) = run(&[]);
-    assert!(ok);
-    assert!(stdout.contains("USAGE"));
+fn no_arguments_and_help_print_usage() {
+    for line in ["", "help", "--help"] {
+        let (stdout, _, ok) = run(line);
+        assert!(ok);
+        assert!(stdout.contains("USAGE"), "{line}: {stdout}");
+        assert!(stdout.contains("COMMANDS"), "{line}: {stdout}");
+    }
 }
 
 #[test]
-fn help_prints_usage() {
-    let (stdout, _, ok) = run(&["help"]);
-    assert!(ok);
-    assert!(stdout.contains("COMMANDS"));
-}
-
-#[test]
-fn evaluate_outputs_metrics() {
-    let (stdout, _, ok) = run(&["evaluate", "alexnet", "--estimate", "c"]);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("AlexNet"));
-    assert!(stdout.contains("latency"));
-    assert!(stdout.contains("EDP"));
-}
-
-#[test]
-fn unknown_command_fails_with_message() {
-    let (_, stderr, ok) = run(&["frobnicate"]);
-    assert!(!ok);
-    assert!(stderr.contains("frobnicate"));
-}
-
-#[test]
-fn unknown_network_fails_cleanly() {
-    let (_, stderr, ok) = run(&["evaluate", "lenet"]);
-    assert!(!ok);
-    assert!(stderr.contains("lenet"));
-}
-
-#[test]
-fn missing_option_value_is_a_parse_error() {
-    let (_, stderr, ok) = run(&["evaluate", "vgg16", "--ng"]);
-    assert!(!ok);
-    assert!(stderr.contains("requires a value"));
-}
-
-#[test]
-fn power_matches_table_iii() {
-    let (stdout, _, ok) = run(&["power"]);
-    assert!(ok);
-    assert!(stdout.contains("22.7"), "{stdout}");
-}
-
-#[test]
-fn sweep_end_to_end() {
-    let (stdout, _, ok) = run(&[
-        "sweep",
-        "--param",
-        "ng",
-        "--values",
-        "9,27",
-        "--network",
-        "alexnet",
-    ]);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("Ng=9"));
-    assert!(stdout.contains("Ng=27"));
+fn commands_run_end_to_end() {
+    for (line, markers) in [
+        (
+            "evaluate alexnet --estimate c",
+            &["AlexNet", "latency", "EDP"][..],
+        ),
+        ("power", &["22.7"]),
+        (
+            "sweep --param ng --values 9,27 --network alexnet",
+            &["Ng=9", "Ng=27"],
+        ),
+        (
+            "precision --k2 0.03 --wavelengths 20",
+            &["crosstalk-limited"],
+        ),
+        ("evaluate vgg16 --threads 4", &["VGG16"]),
+    ] {
+        let (stdout, _, ok) = run(line);
+        assert!(ok, "{line}: {stdout}");
+        for marker in markers {
+            assert!(
+                stdout.contains(marker),
+                "{line}: missing {marker} in {stdout}"
+            );
+        }
+    }
 }
 
 #[test]
 fn experiment_fig9_end_to_end() {
-    let (stdout, _, ok) = run(&["experiment", "fig9"]);
+    let (stdout, _, ok) = run("experiment fig9");
     assert!(ok);
     assert!(stdout.contains("AWG"));
     assert!(stdout.contains("124") || stdout.contains("125"));
 }
 
 #[test]
-fn precision_end_to_end() {
-    let (stdout, _, ok) = run(&["precision", "--k2", "0.03", "--wavelengths", "20"]);
-    assert!(ok);
-    assert!(stdout.contains("crosstalk-limited"));
-}
-
-#[test]
-fn threads_flag_is_accepted_everywhere() {
-    let (stdout, _, ok) = run(&["evaluate", "vgg16", "--threads", "4"]);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("VGG16"));
-}
-
-#[test]
-fn threads_flag_rejects_garbage() {
-    let (_, stderr, ok) = run(&["evaluate", "vgg16", "--threads", "many"]);
-    assert!(!ok);
-    assert!(stderr.contains("many"));
-}
-
-#[test]
 fn output_is_identical_at_any_thread_count() {
-    let (serial, _, ok) = run(&["evaluate", "vgg16", "--per-layer", "99", "--threads", "1"]);
+    let (serial, _, ok) = run("evaluate vgg16 --per-layer 99 --threads 1");
     assert!(ok);
     for threads in ["2", "8"] {
-        let (parallel, _, ok) = run(&[
-            "evaluate",
-            "vgg16",
-            "--per-layer",
-            "99",
-            "--threads",
-            threads,
-        ]);
+        let (parallel, _, ok) = run(&format!(
+            "evaluate vgg16 --per-layer 99 --threads {threads}"
+        ));
         assert!(ok);
         assert_eq!(parallel, serial, "output diverged at {threads} threads");
     }
@@ -131,16 +78,7 @@ fn output_is_identical_at_any_thread_count() {
 
 #[test]
 fn sweep_json_end_to_end() {
-    let (stdout, _, ok) = run(&[
-        "sweep",
-        "--param",
-        "ng",
-        "--values",
-        "9,27",
-        "--json",
-        "--network",
-        "alexnet",
-    ]);
+    let (stdout, _, ok) = run("sweep --param ng --values 9,27 --json --network alexnet");
     assert!(ok, "{stdout}");
     assert!(stdout.trim_start().starts_with('['));
     assert!(stdout.trim_end().ends_with(']'));
@@ -157,7 +95,7 @@ fn sweep_json_end_to_end() {
 
 #[test]
 fn bench_end_to_end_emits_schema() {
-    let (stdout, _, ok) = run(&["bench", "--thread-counts", "1,2", "--target-ms", "1"]);
+    let (stdout, _, ok) = run("bench parallel --thread-counts 1,2 --target-ms 1");
     assert!(ok, "{stdout}");
     for key in [
         "\"schema\": \"albireo.bench.parallel/v1\"",
@@ -178,7 +116,7 @@ fn bench_end_to_end_emits_schema() {
 
 #[test]
 fn serve_end_to_end_prints_service_report() {
-    let (stdout, _, ok) = run(&["serve", "--requests", "200", "--seed", "7"]);
+    let (stdout, _, ok) = run("serve --requests 200 --seed 7");
     assert!(ok, "{stdout}");
     for key in [
         "serving report",
@@ -199,48 +137,18 @@ fn serve_end_to_end_prints_service_report() {
 
 #[test]
 fn serve_same_seed_is_byte_identical_at_any_thread_count() {
-    let (baseline, _, ok) = run(&[
-        "serve",
-        "--requests",
-        "200",
-        "--seed",
-        "7",
-        "--threads",
-        "1",
-    ]);
+    let (baseline, _, ok) = run("serve --requests 200 --seed 7 --threads 1");
     assert!(ok, "{baseline}");
     for threads in ["2", "8"] {
-        let (other, _, ok) = run(&[
-            "serve",
-            "--requests",
-            "200",
-            "--seed",
-            "7",
-            "--threads",
-            threads,
-        ]);
+        let (other, _, ok) = run(&format!(
+            "serve --requests 200 --seed 7 --threads {threads}"
+        ));
         assert!(ok);
         assert_eq!(other, baseline, "serve diverged at {threads} threads");
     }
     // Replicated runs must also be thread-count invariant.
-    let (rep1, _, ok1) = run(&[
-        "serve",
-        "--requests",
-        "120",
-        "--replicas",
-        "3",
-        "--threads",
-        "1",
-    ]);
-    let (rep8, _, ok8) = run(&[
-        "serve",
-        "--requests",
-        "120",
-        "--replicas",
-        "3",
-        "--threads",
-        "8",
-    ]);
+    let (rep1, _, ok1) = run("serve --requests 120 --replicas 3 --threads 1");
+    let (rep8, _, ok8) = run("serve --requests 120 --replicas 3 --threads 8");
     assert!(ok1 && ok8);
     assert_eq!(rep1, rep8);
 }
@@ -252,17 +160,9 @@ fn serve_trace_is_byte_identical_across_thread_counts() {
     let trace_for = |threads: &str| {
         let path = dir.join(format!("trace_t{threads}.json"));
         let path_str = path.to_str().unwrap().to_string();
-        let (stdout, _, ok) = run(&[
-            "serve",
-            "--requests",
-            "200",
-            "--seed",
-            "7",
-            "--threads",
-            threads,
-            "--trace-out",
-            &path_str,
-        ]);
+        let (stdout, _, ok) = run(&format!(
+            "serve --requests 200 --seed 7 --threads {threads} --trace-out {path_str}"
+        ));
         assert!(ok, "{stdout}");
         let digest = stdout
             .lines()
@@ -287,7 +187,7 @@ fn serve_trace_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn serve_json_end_to_end() {
-    let (stdout, _, ok) = run(&["serve", "--requests", "100", "--json"]);
+    let (stdout, _, ok) = run("serve --requests 100 --json");
     assert!(ok, "{stdout}");
     for key in [
         "\"schema\": \"albireo.bench.serving/v4\"",
@@ -303,15 +203,7 @@ fn serve_json_end_to_end() {
 
 #[test]
 fn serve_chip_failure_degrades_without_error() {
-    let (stdout, _, ok) = run(&[
-        "serve",
-        "--requests",
-        "300",
-        "--rate",
-        "4000",
-        "--fail",
-        "1@0.01",
-    ]);
+    let (stdout, _, ok) = run("serve --requests 300 --rate 4000 --faults fail:1@0.01");
     assert!(ok, "a mid-run chip failure must not error: {stdout}");
     assert!(stdout.contains("OFFLINE"), "{stdout}");
     assert!(!stdout.contains("completed 0 "), "{stdout}");
@@ -320,20 +212,7 @@ fn serve_chip_failure_degrades_without_error() {
 #[test]
 fn plan_end_to_end_is_thread_count_invariant() {
     let run_at = |threads: &str| {
-        run(&[
-            "plan",
-            "--slo",
-            "p99<5ms",
-            "--rate",
-            "8000",
-            "--requests",
-            "400",
-            "--screen-requests",
-            "100",
-            "--json",
-            "--threads",
-            threads,
-        ])
+        run(&format!("plan --slo p99<5ms --rate 8000 --requests 400 --screen-requests 100 --json --threads {threads}"))
     };
     let (baseline, _, ok) = run_at("1");
     assert!(ok, "{baseline}");
@@ -359,22 +238,12 @@ fn plan_writes_report_and_frontier_csv() {
     std::fs::create_dir_all(&dir).unwrap();
     let json_path = dir.join("plan.json");
     let csv_path = dir.join("frontier.csv");
-    let (stdout, _, ok) = run(&[
-        "plan",
-        "--slo",
-        "p99<5ms",
-        "--rate",
-        "8000",
-        "--requests",
-        "400",
-        "--screen-requests",
-        "100",
-        "--json",
-        "--out",
-        json_path.to_str().unwrap(),
-        "--csv-out",
-        csv_path.to_str().unwrap(),
-    ]);
+    let (stdout, _, ok) = run(&format!(
+        "plan --slo p99<5ms --rate 8000 --requests 400 --screen-requests 100 --json \
+         --out {} --csv-out {}",
+        json_path.display(),
+        csv_path.display()
+    ));
     assert!(ok, "{stdout}");
     assert!(stdout.contains("wrote"), "{stdout}");
     assert!(stdout.contains("digest"), "{stdout}");
@@ -391,30 +260,70 @@ fn plan_writes_report_and_frontier_csv() {
 }
 
 #[test]
-fn plan_without_slo_fails_with_usage_error() {
-    let (_, stderr, ok) = run(&["plan"]);
-    assert!(!ok);
-    assert!(stderr.contains("--slo"), "{stderr}");
-}
-
-#[test]
 fn bench_writes_json_file() {
     let dir = std::env::temp_dir().join("albireo_bench_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("BENCH_parallel.json");
     let path_str = path.to_str().unwrap();
-    let (stdout, _, ok) = run(&[
-        "bench",
-        "--thread-counts",
-        "1",
-        "--target-ms",
-        "1",
-        "--out",
-        path_str,
-    ]);
+    let (stdout, _, ok) = run(&format!(
+        "bench parallel --thread-counts 1 --target-ms 1 --out {path_str}"
+    ));
     assert!(ok, "{stdout}");
     assert!(stdout.contains("wrote"));
     let written = std::fs::read_to_string(&path).unwrap();
     assert!(written.contains("albireo.bench.parallel/v1"));
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn bad_command_lines_exit_2_with_typed_diagnostics() {
+    for (line, needle) in [
+        ("frobnicate", "frobnicate"),
+        ("evaluate lenet", "lenet"),
+        ("evaluate vgg16 --ng", "requires a value"),
+        ("evaluate vgg16 --threads many", "many"),
+        ("plan", "--slo"),
+        ("serve --polcy size:4", "unknown flag --polcy"),
+        ("serve --spike-mult 3", "unknown flag --spike-mult"),
+        (
+            "serve --requests 50 --requests 60",
+            "--requests given more than once",
+        ),
+        ("serve extra", "unexpected argument `extra`"),
+        ("serve --policy deadline:nan", "finite and positive"),
+        ("serve --policy deadline:inf", "finite and positive"),
+        ("serve --rate nan", "invalid value `nan` for --rate"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_albireo"))
+            .args(line.split_whitespace())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(stderr.contains("error: "), "{line}: {stderr}");
+        assert!(stderr.contains(needle), "{line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{line} ran anyway");
+    }
+}
+
+#[test]
+fn command_help_prints_help_and_runs_nothing() {
+    let (stdout, _, ok) = run("serve --help");
+    assert!(ok);
+    assert!(stdout.contains("albireo serve"), "{stdout}");
+    assert!(stdout.contains("--requests N"), "{stdout}");
+    assert!(!stdout.contains("serving report"), "{stdout}");
+    assert!(!stdout.contains("goodput"), "{stdout}");
+    let (stdout, _, ok) = run("bench oracles -h");
+    assert!(ok);
+    assert!(stdout.contains("--tol-scale X"), "{stdout}");
+    assert!(!stdout.contains("[PASS]"), "{stdout}");
+}
+
+#[test]
+fn trace_jsonl_rejects_paths_that_are_not_regular_files() {
+    let (_, stderr, ok) = run("serve --trace-jsonl /dev/null");
+    assert!(!ok);
+    assert!(stderr.contains("not a regular file"), "{stderr}");
+    assert!(!stderr.contains("does not exist"), "{stderr}");
 }

@@ -37,7 +37,7 @@
 //!   chain (MZM multiply, MRR switching with crosstalk, balanced detection
 //!   with noise, ADC quantization), validated against the digital golden
 //!   model in `albireo-tensor`.
-//! * [`report`] — plain-text table formatting shared by the bench bins.
+//! * [`report`] — plain-text table formatting shared by the CLI and the bench harness.
 //!
 //! # Example
 //!

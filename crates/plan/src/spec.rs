@@ -191,53 +191,6 @@ pub struct PlanSpec {
     pub faults: FaultSpec,
 }
 
-/// Canonical exact serialization of a batching policy: `immediate`,
-/// `size:<N>`, or `deadline_s:<SECONDS>:<MAX>` (seconds via `{}` so the
-/// float round-trips bit-exactly — the CLI's microsecond form divides
-/// by 1e6, which is not an exact inverse of multiplication).
-pub fn policy_spec(policy: &BatchPolicy) -> String {
-    match policy {
-        BatchPolicy::Immediate => "immediate".to_string(),
-        BatchPolicy::SizeN { size } => format!("size:{size}"),
-        BatchPolicy::Deadline {
-            max_wait_s,
-            max_size,
-        } => format!("deadline_s:{max_wait_s}:{max_size}"),
-    }
-}
-
-/// Parses [`policy_spec`]'s grammar plus everything
-/// [`BatchPolicy::parse`] accepts.
-pub fn parse_policy(spec: &str) -> Result<BatchPolicy, String> {
-    if let Some(rest) = spec.trim().strip_prefix("deadline_s:") {
-        let mut parts = rest.split(':');
-        let max_wait_s: f64 = parts
-            .next()
-            .unwrap_or("")
-            .parse()
-            .map_err(|_| format!("bad deadline in policy `{spec}`"))?;
-        if !(max_wait_s.is_finite() && max_wait_s > 0.0) {
-            return Err(format!("deadline must be positive in policy `{spec}`"));
-        }
-        let max_size: usize = parts
-            .next()
-            .ok_or_else(|| format!("policy `{spec}` needs deadline_s:<SECONDS>:<MAX>"))?
-            .parse()
-            .map_err(|_| format!("bad max batch size in policy `{spec}`"))?;
-        if max_size == 0 {
-            return Err("max batch size must be at least 1".to_string());
-        }
-        if parts.next().is_some() {
-            return Err(format!("too many fields in policy `{spec}`"));
-        }
-        return Ok(BatchPolicy::Deadline {
-            max_wait_s,
-            max_size,
-        });
-    }
-    BatchPolicy::parse(spec)
-}
-
 fn arrival_spec(process: &ArrivalProcess) -> String {
     match process {
         ArrivalProcess::Poisson { .. } => "poisson".to_string(),
@@ -462,7 +415,7 @@ impl PlanSpec {
             .unwrap_or("immediate")
             .split('|')
         {
-            let policy = parse_policy(p)?;
+            let policy = BatchPolicy::parse(p)?;
             if policies.contains(&policy) {
                 return Err(format!(
                     "duplicate policy `{}` in plan spec",
@@ -608,7 +561,7 @@ impl fmt::Display for PlanSpec {
         write!(f, ";chips={}", self.chip_kinds.join("|"))?;
         write!(f, ";max-chips={};policies=", self.max_chips)?;
         for (i, p) in self.policies.iter().enumerate() {
-            write!(f, "{}{}", if i > 0 { "|" } else { "" }, policy_spec(p))?;
+            write!(f, "{}{p}", if i > 0 { "|" } else { "" })?;
         }
         if self.queue_capacity == usize::MAX {
             write!(f, ";queue-cap=unbounded")?;
@@ -741,25 +694,5 @@ mod tests {
         ] {
             assert!(PlanSpec::parse(bad).is_err(), "`{bad}` should be rejected");
         }
-    }
-
-    #[test]
-    fn deadline_seconds_form_is_exact_where_microseconds_are_not() {
-        // The canonical form stores seconds directly: whatever f64 the
-        // spec carries is reproduced bit-exactly by parse(display).
-        let policy = BatchPolicy::Deadline {
-            max_wait_s: 0.000123456789,
-            max_size: 6,
-        };
-        let spec = policy_spec(&policy);
-        assert_eq!(parse_policy(&spec).unwrap(), policy);
-        // The CLI microsecond grammar still parses.
-        assert_eq!(
-            parse_policy("deadline:100:6").unwrap(),
-            BatchPolicy::Deadline {
-                max_wait_s: 100.0 / 1e6,
-                max_size: 6
-            }
-        );
     }
 }

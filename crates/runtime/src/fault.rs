@@ -187,12 +187,6 @@ impl FaultScenario {
         &self.events
     }
 
-    /// Combines two scenarios into one (the union of their events).
-    pub fn merged(mut self, other: FaultScenario) -> FaultScenario {
-        self.events.extend(other.events);
-        self
-    }
-
     /// Whether the scenario is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()

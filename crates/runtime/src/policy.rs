@@ -10,6 +10,8 @@
 //! (head-of-line semantics are intentional and documented — a released
 //! chip never skips the oldest waiting request's network).
 
+use std::fmt;
+
 /// When the dispatcher may form a batch from the queue head.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BatchPolicy {
@@ -46,9 +48,11 @@ impl BatchPolicy {
         }
     }
 
-    /// Parses a policy spec: `immediate`, `size:<N>`, or
+    /// Parses a policy spec: `immediate`, `size:<N>`,
     /// `deadline:<USEC>[:<MAX>]` (deadline in microseconds, default max
-    /// batch 8).
+    /// batch 8), or the canonical `deadline_s:<SECONDS>:<MAX>` that
+    /// [`Display`](fmt::Display) renders. Deadlines must be finite and
+    /// positive.
     pub fn parse(spec: &str) -> Result<BatchPolicy, String> {
         let spec = spec.trim();
         if spec.eq_ignore_ascii_case("immediate") {
@@ -66,33 +70,48 @@ impl BatchPolicy {
             }
             return Ok(BatchPolicy::SizeN { size });
         }
-        if let Some(rest) = spec.strip_prefix("deadline:") {
-            let mut parts = rest.split(':');
-            let usec: f64 = parts
-                .next()
-                .unwrap_or("")
-                .parse()
-                .map_err(|_| format!("bad deadline in policy `{spec}`"))?;
-            if usec <= 0.0 {
-                return Err("deadline must be positive".to_string());
-            }
-            let max_size: usize = match parts.next() {
-                Some(m) => m
-                    .parse()
-                    .map_err(|_| format!("bad max batch size in policy `{spec}`"))?,
-                None => 8,
-            };
-            if max_size == 0 {
-                return Err("max batch size must be at least 1".to_string());
-            }
-            return Ok(BatchPolicy::Deadline {
-                max_wait_s: usec / 1e6,
-                max_size,
-            });
+        // The canonical form stores seconds and needs an explicit max;
+        // the microsecond form defaults the max batch to 8.
+        let (rest, micros) = if let Some(rest) = spec.strip_prefix("deadline_s:") {
+            (rest, false)
+        } else if let Some(rest) = spec.strip_prefix("deadline:") {
+            (rest, true)
+        } else {
+            return Err(format!(
+                "unknown policy `{spec}` (try: immediate, size:<N>, deadline:<USEC>[:<MAX>], \
+                 deadline_s:<SECONDS>:<MAX>)"
+            ));
+        };
+        let mut parts = rest.split(':');
+        let wait: f64 = parts
+            .next()
+            .unwrap_or("")
+            .parse()
+            .map_err(|_| format!("bad deadline in policy `{spec}`"))?;
+        if !(wait.is_finite() && wait > 0.0) {
+            return Err(format!(
+                "deadline must be finite and positive in policy `{spec}`"
+            ));
         }
-        Err(format!(
-            "unknown policy `{spec}` (try: immediate, size:<N>, deadline:<USEC>[:<MAX>])"
-        ))
+        let max_size: usize = match parts.next() {
+            Some(m) => m
+                .parse()
+                .map_err(|_| format!("bad max batch size in policy `{spec}`"))?,
+            None if micros => 8,
+            None => return Err(format!("policy `{spec}` needs deadline_s:<SECONDS>:<MAX>")),
+        };
+        if max_size == 0 {
+            return Err("max batch size must be at least 1".to_string());
+        }
+        if parts.next().is_some() {
+            return Err(format!("too many fields in policy `{spec}`"));
+        }
+        // Seconds are stored as given so `deadline_s` round-trips bit-exactly;
+        // the microsecond form divides, which is not an exact inverse.
+        Ok(BatchPolicy::Deadline {
+            max_wait_s: if micros { wait / 1e6 } else { wait },
+            max_size,
+        })
     }
 
     /// The largest batch this policy ever dispatches.
@@ -101,6 +120,22 @@ impl BatchPolicy {
             BatchPolicy::Immediate => 1,
             BatchPolicy::SizeN { size } => *size,
             BatchPolicy::Deadline { max_size, .. } => *max_size,
+        }
+    }
+}
+
+impl fmt::Display for BatchPolicy {
+    /// The canonical spec string: `immediate`, `size:<N>`, or
+    /// `deadline_s:<SECONDS>:<MAX>` (seconds via `{}` so the float
+    /// round-trips bit-exactly); [`BatchPolicy::parse`] inverts it exactly.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BatchPolicy::Immediate => write!(f, "immediate"),
+            BatchPolicy::SizeN { size } => write!(f, "size:{size}"),
+            BatchPolicy::Deadline {
+                max_wait_s,
+                max_size,
+            } => write!(f, "deadline_s:{max_wait_s}:{max_size}"),
         }
     }
 }
@@ -164,6 +199,44 @@ mod tests {
         assert!(BatchPolicy::parse("size:0").is_err());
         assert!(BatchPolicy::parse("deadline:0").is_err());
         assert!(BatchPolicy::parse("fifo").is_err());
+        // Non-finite deadlines are rejected in both units.
+        for bad in [
+            "deadline:nan",
+            "deadline:inf",
+            "deadline_s:inf:4",
+            "deadline_s:nan:4",
+        ] {
+            assert!(
+                BatchPolicy::parse(bad).is_err(),
+                "`{bad}` should be rejected"
+            );
+        }
+        // The seconds form needs an explicit max and no trailing fields.
+        assert!(BatchPolicy::parse("deadline_s:0.001").is_err());
+        assert!(BatchPolicy::parse("deadline_s:0.001:4:2").is_err());
+    }
+
+    #[test]
+    fn deadline_seconds_form_is_exact_where_microseconds_are_not() {
+        // The canonical form stores seconds directly: whatever f64 the
+        // policy carries is reproduced bit-exactly by parse(display).
+        let policy = BatchPolicy::Deadline {
+            max_wait_s: 0.000123456789,
+            max_size: 6,
+        };
+        assert_eq!(policy.to_string(), "deadline_s:0.000123456789:6");
+        assert_eq!(BatchPolicy::parse(&policy.to_string()).unwrap(), policy);
+        for p in [BatchPolicy::Immediate, BatchPolicy::SizeN { size: 4 }] {
+            assert_eq!(BatchPolicy::parse(&p.to_string()).unwrap(), p);
+        }
+        // The microsecond grammar still parses.
+        assert_eq!(
+            BatchPolicy::parse("deadline:100:6").unwrap(),
+            BatchPolicy::Deadline {
+                max_wait_s: 100.0 / 1e6,
+                max_size: 6
+            }
+        );
     }
 
     #[test]

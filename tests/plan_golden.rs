@@ -8,7 +8,7 @@
 //! artifact. Regenerate with:
 //!
 //! ```text
-//! cargo run --release -p albireo-bench --bin plan_search
+//! cargo run --release -p albireo-cli -- bench plan
 //! ```
 
 use albireo_obs::Obs;
@@ -32,7 +32,7 @@ fn golden_plan_frontier_reproduces_byte_exactly() {
         golden_csv(),
         "planner diverged from results/golden_plan_frontier.csv; \
          if the change is intentional, regenerate with \
-         `cargo run --release -p albireo-bench --bin plan_search`"
+         `cargo run --release -p albireo-cli -- bench plan`"
     );
 }
 

@@ -8,7 +8,7 @@
 //! the study artifacts. Regenerate with:
 //!
 //! ```text
-//! cargo run --release -p albireo-bench --bin serving_study
+//! cargo run --release -p albireo-cli -- bench serving
 //! ```
 
 use albireo_parallel::Parallelism;
@@ -31,7 +31,7 @@ fn golden_serving_metrics_reproduce_byte_exactly() {
         regenerated, committed,
         "serving study diverged from results/golden_serving_metrics.csv; \
          if the change is intentional, regenerate with \
-         `cargo run --release -p albireo-bench --bin serving_study`"
+         `cargo run --release -p albireo-cli -- bench serving`"
     );
 }
 
