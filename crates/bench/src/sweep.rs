@@ -11,7 +11,7 @@
 //! * `device_sweeps` — the Fig. 3 noise-precision and Fig. 4c
 //!   crosstalk-precision sweeps, fanned per laser power / per `k²`;
 //! * `analog_conv` — a stochastic analog convolution, fanned per output
-//!   kernel inside [`albireo_core::analog::AnalogEngine`].
+//!   row inside [`albireo_core::analog::AnalogEngine`].
 //!
 //! Each workload is run once serially and once per requested thread count;
 //! every run folds its numeric results into a digest so the report can
@@ -30,7 +30,7 @@ use albireo_parallel::Parallelism;
 use albireo_photonics::precision::{fig3_noise_sweep, fig4c_crosstalk_sweep, PrecisionModel};
 use albireo_photonics::OpticalParams;
 use albireo_tensor::conv::ConvSpec;
-use albireo_tensor::{Tensor3, Tensor4};
+use albireo_tensor::{output_extent, Tensor3, Tensor4};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -270,7 +270,7 @@ fn device_sweep_workload() -> Workload {
 }
 
 /// A stochastic analog convolution (noise + crosstalk on), fanned per
-/// output kernel inside the analog engine.
+/// output row inside the analog engine.
 fn analog_conv_workload() -> Workload {
     let mut rng = StdRng::seed_from_u64(0xBE7C);
     let input = Tensor3::random_uniform(6, 20, 20, 0.0, 1.0, &mut rng);
@@ -278,7 +278,7 @@ fn analog_conv_workload() -> Workload {
     let chip = ChipConfig::albireo_9();
     Workload {
         name: "analog_conv",
-        items: 16,
+        items: output_extent(20, 3, 0, 1),
         run: Box::new(move |par| {
             let mut engine = {
                 let _setup = albireo_obs::profile::scope("bench.setup");

@@ -2,7 +2,7 @@
 //! report the error impact on a reference convolution.
 
 use super::{chip_from, CliError, Command, COUNT0, NG};
-use crate::args::{flag, Args, Flag, Kind};
+use crate::args::{flag, ArgError, Args, Flag, Kind};
 use albireo_core::analog::{AnalogEngine, AnalogSimConfig, Fault, FaultSet};
 use albireo_tensor::conv::{conv2d, ConvSpec};
 use albireo_tensor::{Tensor3, Tensor4};
@@ -52,6 +52,14 @@ fn run(args: &Args) -> Result<String, CliError> {
     }
 
     let chip = chip_from(args);
+    set.check(&chip).map_err(|e| {
+        let (flag, value) = match e.fault {
+            Fault::DeadRing { row, col, output } => ("dead-ring", format!("{row},{col},{output}")),
+            Fault::StuckMzm { row, col, weight } => ("stuck-mzm", format!("{row},{col},{weight}")),
+            Fault::DeadChannel { column } => ("dead-channel", column.to_string()),
+        };
+        CliError::Args(ArgError::Invalid(flag, value, e.expected))
+    })?;
     let mut rng = StdRng::seed_from_u64(1550);
     let input = Tensor3::random_uniform(3, 12, 12, 0.0, 1.0, &mut rng);
     let kernels = Tensor4::random_gaussian(2, 3, 3, 3, 0.3, &mut rng);
@@ -98,6 +106,21 @@ mod tests {
         assert!(cli("faults --stuck-mzm 1,2").is_err());
         assert!(cli("faults --dead-ring 1,2,3").is_ok());
         assert!(cli("faults --stuck-mzm 0,0,0.5").is_ok());
+    }
+
+    #[test]
+    fn faults_command_rejects_faults_outside_the_plcu() {
+        for line in [
+            "faults --dead-ring 9,9,9",
+            "faults --dead-ring 0,0,5",
+            "faults --dead-channel 7",
+            "faults --stuck-mzm 3,0,0.5",
+            "faults --stuck-mzm 0,0,1.5",
+        ] {
+            let err = cli(line).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{line}: {err}");
+        }
+        assert!(cli("faults --dead-ring 2,2,4 --dead-channel 6 --stuck-mzm 2,2,-1").is_ok());
     }
 
     #[test]

@@ -293,6 +293,14 @@ fn bad_command_lines_exit_2_with_typed_diagnostics() {
         ("serve --policy deadline:nan", "finite and positive"),
         ("serve --policy deadline:inf", "finite and positive"),
         ("serve --rate nan", "invalid value `nan` for --rate"),
+        (
+            "faults --dead-ring 9,9,9",
+            "invalid value `9,9,9` for --dead-ring",
+        ),
+        ("faults --dead-ring 0,0,7", "output < 5"),
+        ("faults --dead-channel 99", "column < 7"),
+        ("faults --stuck-mzm 5,5,0.5", "row < 3, column < 3"),
+        ("faults --stuck-mzm 0,0,7.5", "weight in [-1, 1]"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_albireo"))
             .args(line.split_whitespace())

@@ -25,7 +25,7 @@ use crate::config::ChipConfig;
 use albireo_parallel::{split_seed, stream_id, Parallelism};
 use albireo_photonics::link::LinkBudget;
 use albireo_photonics::mrr::Microring;
-use albireo_photonics::noise::NoiseParams;
+use albireo_photonics::noise::{CompiledNoise, NoiseParams};
 use albireo_photonics::photodiode::BalancedPd;
 use albireo_photonics::precision::PrecisionModel;
 use albireo_tensor::conv::ConvSpec;
@@ -154,29 +154,45 @@ impl FaultSet {
         &self.faults
     }
 
-    fn ring_dead(&self, row: usize, col: usize, output: usize) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(f, Fault::DeadRing { row: r, col: c, output: o }
-                if *r == row && *c == col && *o == output)
-        })
+    /// Checks every fault against the chip's PLCU geometry: a ring or MZM
+    /// at kernel row `< kernel_y` and column `< kernel_x`, a ring output
+    /// `< Nd`, a multicast column `< Nd + kernel_x − 1`, and a stuck weight
+    /// that is finite and within `[-1, 1]`. Returns the first fault
+    /// outside that geometry: on a native-size kernel it would match no
+    /// crossing and be silently inert.
+    pub fn check(&self, chip: &ChipConfig) -> Result<(), FaultError> {
+        let (rows, cols, nd) = (chip.kernel_y, chip.kernel_x, chip.plcu.nd);
+        let columns = nd + cols - 1;
+        for &fault in &self.faults {
+            let expected = match fault {
+                Fault::DeadRing { row, col, output }
+                    if row >= rows || col >= cols || output >= nd =>
+                {
+                    format!("row < {rows}, column < {cols}, output < {nd}")
+                }
+                Fault::StuckMzm { row, col, weight }
+                    if row >= rows || col >= cols || !(-1.0..=1.0).contains(&weight) =>
+                {
+                    format!("row < {rows}, column < {cols}, weight in [-1, 1]")
+                }
+                Fault::DeadChannel { column } if column >= columns => {
+                    format!("column < {columns}")
+                }
+                _ => continue,
+            };
+            return Err(FaultError { fault, expected });
+        }
+        Ok(())
     }
+}
 
-    fn mzm_override(&self, row: usize, col: usize) -> Option<f64> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::StuckMzm {
-                row: r,
-                col: c,
-                weight,
-            } if *r == row && *c == col => Some(*weight),
-            _ => None,
-        })
-    }
-
-    fn channel_dead(&self, column: usize) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, Fault::DeadChannel { column: c } if *c == column))
-    }
+/// A fault outside the chip's PLCU geometry (see [`FaultSet::check`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultError {
+    /// The offending fault.
+    pub fault: Fault,
+    /// The range its fields must lie in.
+    pub expected: String,
 }
 
 impl AnalogSimConfig {
@@ -199,7 +215,13 @@ pub struct AnalogEngine {
     cfg: AnalogSimConfig,
     ring: Microring,
     pd: BalancedPd,
-    noise: NoiseParams,
+    /// Receiver noise at the PLCU's wavelength count.
+    noise: CompiledNoise,
+    /// Largest ADC code, `2^(bits − 1) − 1`.
+    max_code: i64,
+    /// Photocurrent of one full-scale term, `R·P·gain`, A; the ADC full
+    /// scale is this times the terms per detection.
+    i_term: f64,
     /// Per-wavelength optical power arriving at the photodiodes, W.
     p_channel: f64,
     /// Drop-port gain of an on-resonance switching ring (calibrated out of
@@ -209,7 +231,7 @@ pub struct AnalogEngine {
     off_leakage: f64,
     /// Injected hardware faults.
     faults: FaultSet,
-    /// Parallel execution policy for the per-kernel work items.
+    /// Parallel execution policy for the per-output-row work items.
     par: Parallelism,
 }
 
@@ -224,14 +246,18 @@ impl AnalogEngine {
         let ring = Microring::from_params(&params);
         let link = LinkBudget::albireo_chip(&params, chip.ng, chip.kernel_x, chip.plcu.nd, 10);
         let p_channel = link.output_power(cfg.laser_power_w);
+        let pd = BalancedPd::from_params(&params);
+        let main_gain = ring.drop_peak();
         AnalogEngine {
             chip: *chip,
             cfg,
             ring,
-            pd: BalancedPd::from_params(&params),
-            noise: NoiseParams::paper(),
+            pd,
+            noise: NoiseParams::paper().compile(chip.wavelengths_per_plcu()),
+            max_code: (1i64 << (cfg.adc_bits - 1)) - 1,
+            i_term: pd.positive().responsivity() * p_channel * main_gain,
             p_channel,
-            main_gain: ring.drop_peak(),
+            main_gain,
             off_leakage: ring.drop_transmission(ring.fsr() / 2.0),
             faults: FaultSet::new(),
             par: Parallelism::default(),
@@ -317,71 +343,6 @@ impl AnalogEngine {
             .drop_at_phase(self.ring.phase_detuning(slots * spacing))
     }
 
-    /// Simulates one PLCU cycle: one kernel channel applied to `nd_eff`
-    /// overlapping receptive fields.
-    ///
-    /// `rows[r][c]` is the normalized (∈ [0,1]) input element of kernel row
-    /// `r`, multicast column `c` (`c < nd_eff + wx − 1`); `weights[r][k]` is
-    /// the *signed, normalized* kernel weight of row `r`, column `k`.
-    ///
-    /// Returns per-output-column `(positive_rail_w, negative_rail_w)`.
-    fn plcu_rails(
-        &self,
-        rows: &[Vec<f64>],
-        weights: &[Vec<f64>],
-        nd_eff: usize,
-        with_crosstalk: bool,
-    ) -> Vec<(f64, f64)> {
-        let mut rails = vec![(0.0, 0.0); nd_eff];
-        for (r, wrow) in weights.iter().enumerate() {
-            let arow = &rows[r];
-            for (k, w_programmed) in wrow.iter().enumerate() {
-                let w = self.faults.mzm_override(r, k).unwrap_or(*w_programmed);
-                if w == 0.0 {
-                    continue;
-                }
-                let mag = w.abs().min(1.0);
-                for (d, rail) in rails.iter_mut().enumerate() {
-                    if self.faults.ring_dead(r, k, d) {
-                        continue;
-                    }
-                    let target = d + k;
-                    // Main term plus crosstalk from the row's other
-                    // channels, all scaled by the shared MZM weight.
-                    let mut dropped = 0.0;
-                    for (c, &a) in arow.iter().enumerate() {
-                        if self.faults.channel_dead(c) {
-                            continue;
-                        }
-                        let t = self.crosstalk(c as isize - target as isize, with_crosstalk);
-                        if t != 0.0 {
-                            dropped += t * a;
-                        }
-                    }
-                    let p_dropped = dropped * mag * self.p_channel;
-                    // The matching-sign ring drops onto its rail; the
-                    // opposite-rail ring is detuned but leaks a little.
-                    let leak = if with_crosstalk && !self.faults.channel_dead(target) {
-                        arow.get(target).copied().unwrap_or(0.0)
-                            * mag
-                            * self.off_leakage
-                            * self.p_channel
-                    } else {
-                        0.0
-                    };
-                    if w > 0.0 {
-                        rail.0 += p_dropped;
-                        rail.1 += leak;
-                    } else {
-                        rail.1 += p_dropped;
-                        rail.0 += leak;
-                    }
-                }
-            }
-        }
-        rails
-    }
-
     /// Converts rail powers to a balanced, noise-sampled, ADC-quantized
     /// *normalized* dot-product value. Noise is drawn from the caller's
     /// per-work-item generator.
@@ -389,13 +350,12 @@ impl AnalogEngine {
         let r = self.pd.positive().responsivity();
         let mut current = self.pd.output_current_total(p_pos, p_neg);
         if self.cfg.enable_noise {
-            let n = self.chip.wavelengths_per_plcu();
-            let sigma = self.noise.total_sigma(r * (p_pos + p_neg), n);
+            let sigma = self.noise.total_sigma(r * (p_pos + p_neg));
             current += sigma * sample_standard_normal(rng);
         }
         // ADC over ±full scale.
-        let i_fs = r * self.p_channel * self.main_gain * full_scale_terms as f64;
-        let max_code = (1i64 << (self.cfg.adc_bits - 1)) - 1;
+        let i_fs = self.i_term * full_scale_terms as f64;
+        let max_code = self.max_code;
         let code = ((current / i_fs) * max_code as f64).round() as i64;
         let code = code.clamp(-max_code, max_code);
         // Back to the normalized dot-product domain.
@@ -480,10 +440,11 @@ impl AnalogEngine {
     /// decomposition guarantees by masking); `pass` tags this invocation's
     /// noise streams so decomposition passes draw independent noise.
     ///
-    /// Output kernels are independent work items executed under the
-    /// engine's [`Parallelism`] policy; each `(kernel, output row)` pair
-    /// draws noise from its own seed-derived generator, so the output is
-    /// bit-identical at any thread count.
+    /// Output rows are independent work items executed under the engine's
+    /// [`Parallelism`] policy. Each row builds its input-side tables once
+    /// and then runs every kernel over them; each `(kernel, output row)`
+    /// pair draws noise from its own seed-derived generator, so the output
+    /// is bit-identical at any thread count.
     fn conv2d_inner(
         &self,
         input: &Tensor3,
@@ -506,112 +467,335 @@ impl AnalogEngine {
         let _prof = albireo_obs::profile::scope("analog.conv2d");
         let by = output_extent(ay, wy, spec.padding, spec.stride);
         let bx = output_extent(ax, wx, spec.padding, spec.stride);
+        let mut out = Tensor3::zeros(wm, by, bx);
+        let Some(conv) = ConvPass::new(self, input, kernels, spec, nm_cap, pass) else {
+            return out;
+        };
+        // Rows are laid out `[yb][m][bx]` so each work item owns one
+        // contiguous slice, then transposed into the `[m][yb][bx]` output.
+        let mut rows = vec![0.0; wm * by * bx];
+        self.par.fill_slices(&mut rows, wm * bx, |yb, row| {
+            conv.output_row(yb, row);
+        });
+        let plane = out.as_mut_slice();
+        for (yb, row) in rows.chunks(wm * bx).enumerate() {
+            for (m, kernel_row) in row.chunks(bx).enumerate() {
+                plane[(m * by + yb) * bx..][..bx].copy_from_slice(kernel_row);
+            }
+        }
+        out
+    }
+}
+
+/// One `conv2d_inner` call compiled into the tables every output row
+/// shares: the geometry, the crosstalk look-up table, the fault tables and
+/// the normalized weights.
+struct ConvPass<'a> {
+    engine: &'a AnalogEngine,
+    input: &'a Tensor3,
+    a_max: f64,
+    /// `a_max · w_max`: scales normalized dot products back to the data.
+    scale: f64,
+    stride: isize,
+    pad: isize,
+    /// Output columns per row.
+    bx: usize,
+    az: usize,
+    wy: usize,
+    wx: usize,
+    /// Receptive fields per PLCU cycle: `Nd` at stride 1, otherwise 1.
+    nd: usize,
+    /// Multicast columns of the widest group, `nd + wx − 1`.
+    span: usize,
+    /// `(first output column, width)` of each column group of a row.
+    groups: Vec<(usize, usize)>,
+    /// Drop transmission of a ring from the channel `c − t` slots away,
+    /// at index `c − t + span − 1` (paper Eqs. 3 and 7).
+    xt: Vec<f64>,
+    /// `[row][col][output]`: the switching ring is dead.
+    dead_ring: Vec<bool>,
+    /// `[column]`: the multicast column carries no power.
+    dead_channel: Vec<bool>,
+    /// `[m][z][r][k]`: normalized weights with stuck MZMs applied.
+    weights: Vec<f64>,
+    compensate: bool,
+    full_scale_terms: usize,
+    pass: u64,
+}
+
+/// The input-side tables of one output row, shared by every kernel: for
+/// each (channel `z`, column group, kernel row `r`) slot, `span` entries
+/// indexed by multicast column.
+struct RowTables {
+    /// The normalized input row `a[c]`.
+    a: Vec<f64>,
+    /// The correlated drop `g[t] = Σ_c xt[c − t]·a[c]` of a ring tuned
+    /// to column `t`: its main term plus the crosstalk of the row's other
+    /// live channels.
+    drop: Vec<f64>,
+    /// The main-term-only drop `main_gain·a[t]` (compensation only).
+    ideal: Vec<f64>,
+}
+
+impl<'a> ConvPass<'a> {
+    fn new(
+        engine: &'a AnalogEngine,
+        input: &'a Tensor3,
+        kernels: &Tensor4,
+        spec: &ConvSpec,
+        nm_cap: usize,
+        pass: u64,
+    ) -> Option<ConvPass<'a>> {
+        let (_, az, wy, wx) = kernels.dims();
+        let bx = output_extent(input.dims().2, wx, spec.padding, spec.stride);
         let a_max = input.max_abs();
         let w_max = kernels.max_abs();
-        let mut out = Tensor3::zeros(wm, by, bx);
         if a_max == 0.0 || w_max == 0.0 {
-            return out;
+            return None;
         }
         // Overlapping receptive fields (the multicast pattern) exist only
         // at stride 1; otherwise columns are processed one at a time.
-        let nd_eff = if spec.stride == 1 {
-            self.chip.plcu.nd
+        let nd = if spec.stride == 1 {
+            engine.chip.plcu.nd
         } else {
             1
         };
-        let nu = self.chip.nu;
-        let pad = spec.padding as isize;
-        let scale = a_max * w_max;
-        let full_scale_terms = nm_cap * nu;
+        let span = nd + wx - 1;
+        let groups = (0..bx)
+            .step_by(nd)
+            .map(|xb| (xb, nd.min(bx - xb)))
+            .collect();
+        let with_xt = engine.cfg.enable_crosstalk;
+        let xt = (0..2 * span - 1)
+            .map(|i| engine.crosstalk(i as isize - (span as isize - 1), with_xt))
+            .collect();
+        // Fault tables for this pass. A fault outside its kernel or
+        // multicast extent matches no crossing; the first stuck value of
+        // an MZM wins.
+        let mut dead_ring = vec![false; wy * wx * nd];
+        let mut dead_channel = vec![false; span];
+        let mut stuck_mzm = vec![None; wy * wx];
+        for &fault in engine.faults.as_slice() {
+            match fault {
+                Fault::DeadRing { row, col, output } if row < wy && col < wx && output < nd => {
+                    dead_ring[(row * wx + col) * nd + output] = true;
+                }
+                Fault::StuckMzm { row, col, weight } if row < wy && col < wx => {
+                    stuck_mzm[row * wx + col].get_or_insert(weight);
+                }
+                Fault::DeadChannel { column } if column < span => dead_channel[column] = true,
+                _ => {}
+            }
+        }
+        let weights = kernels
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| stuck_mzm[i % (wy * wx)].unwrap_or(w / w_max))
+            .collect();
+        Some(ConvPass {
+            engine,
+            input,
+            a_max,
+            scale: a_max * w_max,
+            stride: spec.stride as isize,
+            pad: spec.padding as isize,
+            bx,
+            az,
+            wy,
+            wx,
+            nd,
+            span,
+            groups,
+            xt,
+            dead_ring,
+            dead_channel,
+            weights,
+            compensate: engine.cfg.crosstalk_compensation && with_xt,
+            full_scale_terms: nm_cap * engine.chip.nu,
+            pass,
+        })
+    }
 
-        self.par
-            .fill_slices(out.as_mut_slice(), (by * bx).max(1), |m, plane| {
-                for yb in 0..by {
-                    let mut rng = self.item_rng(pass, m, yb);
-                    let ya = yb as isize * spec.stride as isize - pad;
-                    let mut xb = 0;
-                    while xb < bx {
-                        let cols = nd_eff.min(bx - xb);
-                        let xa = xb as isize * spec.stride as isize - pad;
-                        let row_len = cols + wx - 1;
-                        let mut totals = vec![0.0; cols];
-                        let compensate =
-                            self.cfg.crosstalk_compensation && self.cfg.enable_crosstalk;
-                        // Depth-first aggregation over Nu-channel groups.
-                        let mut z0 = 0;
-                        while z0 < az {
-                            let group = nu.min(az - z0);
-                            let mut p_pos = vec![0.0; cols];
-                            let mut p_neg = vec![0.0; cols];
-                            // Predicted crosstalk excess (signed rail power)
-                            // for digital pre-compensation.
-                            let mut excess = vec![0.0; cols];
-                            // One wall-clock scope per Nu-group: the MRR/MZM
-                            // transfer-function evaluation (row prep + rails).
-                            let rails_prof = albireo_obs::profile::scope("analog.rails");
-                            for u in 0..group {
-                                let z = z0 + u;
-                                let rows: Vec<Vec<f64>> = (0..wy)
-                                    .map(|r| {
-                                        (0..row_len)
-                                            .map(|c| {
-                                                input.get_padded(
-                                                    z,
-                                                    ya + r as isize,
-                                                    xa + c as isize,
-                                                ) / a_max
-                                            })
-                                            .collect()
-                                    })
-                                    .collect();
-                                let weights: Vec<Vec<f64>> = (0..wy)
-                                    .map(|r| {
-                                        (0..wx).map(|k| kernels[(m, z, r, k)] / w_max).collect()
-                                    })
-                                    .collect();
-                                let rails = self.plcu_rails(
-                                    &rows,
-                                    &weights,
-                                    cols,
-                                    self.cfg.enable_crosstalk,
-                                );
-                                if compensate {
-                                    let ideal = self.plcu_rails(&rows, &weights, cols, false);
-                                    for (d, ((p, n), (pi, ni))) in
-                                        rails.iter().zip(ideal.iter()).enumerate()
-                                    {
-                                        excess[d] += (p - n) - (pi - ni);
-                                    }
-                                }
-                                for (d, (p, n)) in rails.into_iter().enumerate() {
-                                    // Currents from corresponding PDs across the
-                                    // group's PLCUs add in the analog domain.
-                                    p_pos[d] += p;
-                                    p_neg[d] += n;
-                                }
+    /// Offset of the `(z, column group, kernel row)` slot in [`RowTables`].
+    fn slot(&self, z: usize, group: usize, r: usize) -> usize {
+        ((z * self.groups.len() + group) * self.wy + r) * self.span
+    }
+
+    /// Builds output row `yb`'s input-side tables. Sums run in ascending
+    /// multicast-column order, skipping dead channels.
+    fn row_tables(&self, yb: usize) -> RowTables {
+        let _prof = albireo_obs::profile::scope("analog.tables");
+        let len = self.slot(self.az, 0, 0);
+        let mut t = RowTables {
+            a: vec![0.0; len],
+            drop: vec![0.0; len],
+            ideal: vec![0.0; if self.compensate { len } else { 0 }],
+        };
+        let dead = &self.dead_channel;
+        let main_gain = self.engine.main_gain;
+        let ya = yb as isize * self.stride - self.pad;
+        for z in 0..self.az {
+            for (gi, &(xb, cols)) in self.groups.iter().enumerate() {
+                let xa = xb as isize * self.stride - self.pad;
+                let row_len = cols + self.wx - 1;
+                for r in 0..self.wy {
+                    let s = self.slot(z, gi, r);
+                    let a = &mut t.a[s..s + row_len];
+                    for (c, v) in a.iter_mut().enumerate() {
+                        *v =
+                            self.input.get_padded(z, ya + r as isize, xa + c as isize) / self.a_max;
+                    }
+                    let a = &t.a[s..s + row_len];
+                    for (target, g) in t.drop[s..s + row_len].iter_mut().enumerate() {
+                        let xt = &self.xt[self.span - 1 - target..];
+                        let mut dropped = 0.0;
+                        for (c, &v) in a.iter().enumerate() {
+                            if dead[c] {
+                                continue;
                             }
-                            drop(rails_prof);
-                            let _detect_prof = albireo_obs::profile::scope("analog.detect");
-                            for d in 0..cols {
-                                let mut detected =
-                                    self.detect(p_pos[d], p_neg[d], full_scale_terms, &mut rng);
-                                if compensate {
-                                    // Subtract the predicted interference in the
-                                    // normalized dot-product domain.
-                                    detected -= excess[d] / (self.p_channel * self.main_gain);
-                                }
-                                totals[d] += detected;
+                            if xt[c] != 0.0 {
+                                dropped += xt[c] * v;
                             }
-                            z0 += group;
                         }
-                        for (d, t) in totals.into_iter().enumerate() {
-                            plane[yb * bx + xb + d] = t * scale;
+                        *g = dropped;
+                    }
+                    if self.compensate {
+                        for (target, g) in t.ideal[s..s + row_len].iter_mut().enumerate() {
+                            let mut dropped = 0.0;
+                            if !dead[target] {
+                                dropped += main_gain * a[target];
+                            }
+                            *g = dropped;
                         }
-                        xb += cols;
                     }
                 }
-            });
-        out
+            }
+        }
+        t
+    }
+
+    /// Computes output row `yb` of every kernel into `row` (`[m][bx]`).
+    fn output_row(&self, yb: usize, row: &mut [f64]) {
+        let tables = self.row_tables(yb);
+        // Per detection event (column group, Nu-channel group, output
+        // column): positive rail, negative rail and the predicted
+        // crosstalk excess for digital pre-compensation.
+        let mut events = Vec::new();
+        let mut plcu = vec![[0.0; 4]; self.nd];
+        for (m, out) in row.chunks_mut(self.bx).enumerate() {
+            self.kernel_rails(m, &tables, &mut events, &mut plcu);
+            self.detect_row(m, yb, &events, out);
+        }
+    }
+
+    /// Accumulates kernel `m`'s rail powers for every detection event of
+    /// the row, in detection order.
+    fn kernel_rails(
+        &self,
+        m: usize,
+        tables: &RowTables,
+        events: &mut Vec<[f64; 3]>,
+        plcu: &mut [[f64; 4]],
+    ) {
+        let _prof = albireo_obs::profile::scope("analog.rails");
+        let nu = self.engine.chip.nu;
+        events.clear();
+        for (gi, &(_, cols)) in self.groups.iter().enumerate() {
+            // Depth-first aggregation over Nu-channel groups.
+            for z0 in (0..self.az).step_by(nu) {
+                let at = events.len();
+                events.resize(at + cols, [0.0; 3]);
+                for z in z0..self.az.min(z0 + nu) {
+                    let rails = &mut plcu[..cols];
+                    self.plcu_rails(m, z, gi, tables, rails);
+                    for (e, &[p, n, pi, ni]) in events[at..].iter_mut().zip(rails.iter()) {
+                        // Currents from corresponding PDs across the
+                        // group's PLCUs add in the analog domain.
+                        e[0] += p;
+                        e[1] += n;
+                        if self.compensate {
+                            e[2] += (p - n) - (pi - ni);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One PLCU cycle: kernel `m`'s channel `z` applied to column group
+    /// `gi`'s receptive fields. Writes each output column's `[positive,
+    /// negative]` rail powers, W, followed by the crosstalk-free pair when
+    /// compensating.
+    fn plcu_rails(&self, m: usize, z: usize, gi: usize, t: &RowTables, rails: &mut [[f64; 4]]) {
+        let e = self.engine;
+        let with_xt = e.cfg.enable_crosstalk;
+        let dead_channel = &self.dead_channel;
+        rails.fill([0.0; 4]);
+        for r in 0..self.wy {
+            let s = self.slot(z, gi, r);
+            let (a, g) = (&t.a[s..s + self.span], &t.drop[s..s + self.span]);
+            let w_row = ((m * self.az + z) * self.wy + r) * self.wx;
+            for (k, &w) in self.weights[w_row..w_row + self.wx].iter().enumerate() {
+                if w == 0.0 {
+                    continue;
+                }
+                let mag = w.abs().min(1.0);
+                let at = (r * self.wx + k) * self.nd;
+                let dead_ring = &self.dead_ring[at..at + self.nd];
+                for (d, rail) in rails.iter_mut().enumerate() {
+                    if dead_ring[d] {
+                        continue;
+                    }
+                    let target = d + k;
+                    // The ring's correlated drop, scaled by the shared MZM
+                    // weight.
+                    let p_dropped = g[target] * mag * e.p_channel;
+                    // The matching-sign ring drops onto its rail; the
+                    // opposite-rail ring is detuned but leaks a little.
+                    let leak = if with_xt && !dead_channel[target] {
+                        a[target] * mag * e.off_leakage * e.p_channel
+                    } else {
+                        0.0
+                    };
+                    let (on, off) = if w > 0.0 { (0, 1) } else { (1, 0) };
+                    rail[on] += p_dropped;
+                    rail[off] += leak;
+                    if self.compensate {
+                        // The crosstalk-free pass leaks nothing: adding its
+                        // zero to a non-negative rail is exact, so skip it.
+                        rail[2 + on] += t.ideal[s + target] * mag * e.p_channel;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Detects kernel `m`'s events in order with the `(m, yb)` noise
+    /// stream, accumulating each output column over its Nu-channel groups
+    /// into `out` (`[bx]`).
+    fn detect_row(&self, m: usize, yb: usize, events: &[[f64; 3]], out: &mut [f64]) {
+        let _prof = albireo_obs::profile::scope("analog.detect");
+        let e = self.engine;
+        let mut rng = e.item_rng(self.pass, m, yb);
+        let mut events = events.iter();
+        for &(xb, cols) in &self.groups {
+            let totals = &mut out[xb..xb + cols];
+            for _ in (0..self.az).step_by(e.chip.nu) {
+                for (total, &[p, n, excess]) in totals.iter_mut().zip(events.by_ref()) {
+                    let mut detected = e.detect(p, n, self.full_scale_terms, &mut rng);
+                    if self.compensate {
+                        // Subtract the predicted interference in the
+                        // normalized dot-product domain.
+                        detected -= excess / (e.p_channel * e.main_gain);
+                    }
+                    *total += detected;
+                }
+            }
+            for total in totals {
+                *total *= self.scale;
+            }
+        }
     }
 }
 

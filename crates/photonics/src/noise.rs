@@ -69,17 +69,30 @@ impl NoiseParams {
     ///
     /// Panics if `n_channels` is zero.
     pub fn rin_variance(&self, i_pd: f64, n_channels: usize) -> f64 {
-        assert!(n_channels > 0, "need at least one wavelength channel");
-        let rin_lin = rin_dbc_to_linear(self.rin_dbc_per_hz);
-        i_pd * i_pd * rin_lin * self.bandwidth_hz / n_channels as f64
+        self.compile(n_channels).rin_variance(i_pd)
     }
 
     /// Total noise standard deviation (A) at photocurrent `i_pd` on
     /// `n_channels` wavelengths: the three sources are independent, so the
     /// variances add.
     pub fn total_sigma(&self, i_pd: f64, n_channels: usize) -> f64 {
-        (self.shot_variance(i_pd) + self.thermal_variance() + self.rin_variance(i_pd, n_channels))
-            .sqrt()
+        self.compile(n_channels).total_sigma(i_pd)
+    }
+
+    /// Precomputes the current-independent parts of the model for
+    /// repeated sampling on `n_channels` wavelengths.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_channels` is zero.
+    pub fn compile(&self, n_channels: usize) -> CompiledNoise {
+        assert!(n_channels > 0, "need at least one wavelength channel");
+        CompiledNoise {
+            params: *self,
+            rin_lin: rin_dbc_to_linear(self.rin_dbc_per_hz),
+            thermal: self.thermal_variance(),
+            n_channels: n_channels as f64,
+        }
     }
 
     /// Breakdown of noise standard deviations `(rin, shot, thermal)` in A,
@@ -90,6 +103,29 @@ impl NoiseParams {
             self.shot_variance(i_pd).sqrt(),
             self.thermal_variance().sqrt(),
         )
+    }
+}
+
+/// [`NoiseParams`] at a fixed wavelength count, with the linear RIN
+/// factor and the thermal variance computed once. Its variances are
+/// bit-identical to the [`NoiseParams`] methods, which delegate here.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CompiledNoise {
+    params: NoiseParams,
+    rin_lin: f64,
+    thermal: f64,
+    n_channels: f64,
+}
+
+impl CompiledNoise {
+    /// RIN current variance (A²) at total photocurrent `i_pd`.
+    pub fn rin_variance(&self, i_pd: f64) -> f64 {
+        i_pd * i_pd * self.rin_lin * self.params.bandwidth_hz / self.n_channels
+    }
+
+    /// Total noise standard deviation (A) at photocurrent `i_pd`.
+    pub fn total_sigma(&self, i_pd: f64) -> f64 {
+        (self.params.shot_variance(i_pd) + self.thermal + self.rin_variance(i_pd)).sqrt()
     }
 }
 
