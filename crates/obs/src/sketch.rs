@@ -12,7 +12,8 @@
 //! is within [`RELATIVE_ERROR_BOUND`] ≈ 1.6 % of the exact nearest-rank
 //! value — at *any* stream length, for *any* distribution.
 //!
-//! The state is a sparse map of bucket counts plus exact `count`/`zeros`
+//! The state is a dense window of bucket counts spanning exactly the
+//! lowest to the highest occupied bucket, plus exact `count`/`zeros`
 //! /`invalid`/`min`/`max`, so the sketch obeys the same **exact abelian
 //! monoid** discipline as [`crate::metrics::HistogramData`]: counts add,
 //! extrema take extrema, nothing is re-binned. Merge is associative and
@@ -23,13 +24,16 @@
 //! `tests/proptest_sketch.rs`).
 //!
 //! Memory is bounded by the bucket space, not the stream: at most
-//! [`MAX_BUCKETS`] (4096) occupied buckets cover the full positive
-//! `f64` range, and a real latency distribution spanning six decades
-//! touches a few hundred. A `Vec<f64>` of 10⁷ latency samples costs
-//! 80 MB and O(n log n) to sort; the sketch costs a few KB and O(1)
-//! per observation.
-
-use std::collections::BTreeMap;
+//! [`MAX_BUCKETS`] (4096) slots cover the full positive `f64` range, and
+//! a real latency distribution spanning six decades spans a few hundred.
+//! A `Vec<f64>` of 10⁷ latency samples costs 80 MB and O(n log n) to
+//! sort; the sketch costs a few KB and O(1) per observation.
+//!
+//! The window is canonical: it starts at the lowest occupied bucket and
+//! ends at the highest, and the empty sketch has no window at all. Equal
+//! multisets therefore give equal windows, which is what keeps derived
+//! `Eq` and [`QuantileSketch::digest`] independent of sharding and merge
+//! order.
 
 /// Mantissa bits used for sub-bucketing (32 sub-buckets per octave).
 pub const SUBBUCKET_BITS: u32 = 5;
@@ -95,7 +99,14 @@ pub fn bucket_bounds(i: u16) -> (f64, f64) {
 /// (zero + positive) population.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantileSketch {
-    buckets: BTreeMap<u16, u64>,
+    /// Bucket index of `counts[0]` (0 when the sketch holds no bucket).
+    lo: u16,
+    /// Dense counts over buckets `lo .. lo + counts.len()`. Empty, or
+    /// with a nonzero first and last slot (the window is exactly the
+    /// occupied span, so equal states compare equal).
+    counts: Vec<u64>,
+    /// Sum of `counts`, so [`QuantileSketch::count`] is O(1).
+    bucketed: u64,
     zeros: u64,
     invalid: u64,
     /// Min over valid samples as bits (`u64::MAX` = empty); bit order
@@ -108,7 +119,9 @@ pub struct QuantileSketch {
 impl Default for QuantileSketch {
     fn default() -> QuantileSketch {
         QuantileSketch {
-            buckets: BTreeMap::new(),
+            lo: 0,
+            counts: Vec::new(),
+            bucketed: 0,
             zeros: 0,
             invalid: 0,
             min_bits: u64::MAX,
@@ -123,8 +136,9 @@ impl QuantileSketch {
         QuantileSketch::default()
     }
 
-    /// Records one sample. O(log occupied-buckets), O(1) amortized
-    /// memory (bucket space is capped at [`MAX_BUCKETS`]).
+    /// Records one sample. O(1): one indexed add inside the window; the
+    /// window only grows when a sample lands outside it, and never past
+    /// [`MAX_BUCKETS`] slots.
     pub fn observe(&mut self, v: f64) {
         if !v.is_finite() || v < 0.0 {
             self.invalid += 1;
@@ -133,16 +147,49 @@ impl QuantileSketch {
         if v == 0.0 {
             self.zeros += 1;
         } else {
-            *self.buckets.entry(bucket_index(v)).or_insert(0) += 1;
+            self.add(bucket_index(v), 1);
         }
         let bits = v.to_bits();
         self.min_bits = self.min_bits.min(bits);
         self.max_bits = self.max_bits.max(bits);
     }
 
+    /// Adds `c > 0` samples to bucket `idx`, widening the window to
+    /// include it.
+    fn add(&mut self, idx: u16, c: u64) {
+        debug_assert!(c > 0 && (idx as usize) < MAX_BUCKETS);
+        if let Some(slot) = (idx as usize)
+            .checked_sub(self.lo as usize)
+            .and_then(|off| self.counts.get_mut(off))
+        {
+            *slot += c;
+        } else if self.counts.is_empty() {
+            self.lo = idx;
+            self.counts.push(c);
+        } else if idx < self.lo {
+            let grow = (self.lo - idx) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.counts[0] = c;
+            self.lo = idx;
+        } else {
+            self.counts.resize((idx - self.lo) as usize, 0);
+            self.counts.push(c);
+        }
+        self.bucketed += c;
+    }
+
+    /// Occupied `(bucket index, count)` pairs, ascending.
+    fn occupied(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(off, &c)| (self.lo + off as u16, c))
+    }
+
     /// Valid (non-negative finite) samples recorded.
     pub fn count(&self) -> u64 {
-        self.zeros + self.buckets.values().sum::<u64>()
+        self.zeros + self.bucketed
     }
 
     /// Samples exactly zero.
@@ -165,10 +212,11 @@ impl QuantileSketch {
         (self.count() > 0).then(|| f64::from_bits(self.max_bits))
     }
 
-    /// Occupied buckets — the sketch's resident size, bounded by
-    /// [`MAX_BUCKETS`] regardless of stream length.
+    /// Occupied (nonzero) buckets, bounded by [`MAX_BUCKETS`] regardless
+    /// of stream length. The resident window may also hold empty slots
+    /// between occupied ones.
     pub fn occupied_buckets(&self) -> usize {
-        self.buckets.len()
+        self.counts.iter().filter(|&&c| c > 0).count()
     }
 
     /// The nearest-rank `q`-quantile estimate (`q ∈ [0, 1]`), within
@@ -188,7 +236,7 @@ impl QuantileSketch {
             return 0.0;
         }
         let mut cum = self.zeros;
-        for (&idx, &c) in &self.buckets {
+        for (idx, c) in self.occupied() {
             cum += c;
             if cum >= rank {
                 let (lo, hi) = bucket_bounds(idx);
@@ -213,8 +261,8 @@ impl QuantileSketch {
 
     /// In-place [`QuantileSketch::merge`].
     pub fn merge_from(&mut self, other: &QuantileSketch) {
-        for (&idx, &c) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += c;
+        for (idx, c) in other.occupied() {
+            self.add(idx, c);
         }
         self.zeros += other.zeros;
         self.invalid += other.invalid;
@@ -224,7 +272,7 @@ impl QuantileSketch {
 
     /// `(bucket index, count)` for every occupied bucket, ascending.
     pub fn nonzero_buckets(&self) -> Vec<(u16, u64)> {
-        self.buckets.iter().map(|(&i, &c)| (i, c)).collect()
+        self.occupied().collect()
     }
 
     /// Min over valid samples as IEEE-754 bits (`u64::MAX` = empty).
@@ -244,7 +292,9 @@ impl QuantileSketch {
     /// `invalid`, [`min_bits`](QuantileSketch::min_bits), and
     /// [`max_bits`](QuantileSketch::max_bits). A sketch round-tripped
     /// through its parts is `Eq` to the original, so quantiles, digests,
-    /// and merges continue byte-identically.
+    /// and merges continue byte-identically. Zero counts are skipped and
+    /// a repeated index adds up; callers reading untrusted input must
+    /// validate indices (below [`MAX_BUCKETS`]) themselves.
     pub fn from_parts(
         buckets: &[(u16, u64)],
         zeros: u64,
@@ -252,20 +302,20 @@ impl QuantileSketch {
         min_bits: u64,
         max_bits: u64,
     ) -> QuantileSketch {
-        let mut map = BTreeMap::new();
-        for &(idx, c) in buckets {
-            assert!((idx as usize) < MAX_BUCKETS, "bucket index out of range");
-            if c > 0 {
-                map.insert(idx, c);
-            }
-        }
-        QuantileSketch {
-            buckets: map,
+        let mut s = QuantileSketch {
             zeros,
             invalid,
             min_bits,
             max_bits,
+            ..QuantileSketch::default()
+        };
+        for &(idx, c) in buckets {
+            assert!((idx as usize) < MAX_BUCKETS, "bucket index out of range");
+            if c > 0 {
+                s.add(idx, c);
+            }
         }
+        s
     }
 
     /// Order-sensitive digest over the canonical (name-ordered) state,
@@ -278,7 +328,7 @@ impl QuantileSketch {
         d = crate::fold(d, self.invalid);
         d = crate::fold(d, self.min_bits);
         d = crate::fold(d, self.max_bits);
-        for (&idx, &c) in &self.buckets {
+        for (idx, c) in self.occupied() {
             d = crate::fold(d, idx as u64);
             d = crate::fold(d, c);
         }
@@ -300,8 +350,7 @@ impl QuantileSketch {
             sci(self.quantile(0.95)),
             sci(self.quantile(0.99)),
             sci(self.quantile(0.999)),
-            self.buckets
-                .iter()
+            self.occupied()
                 .map(|(i, c)| format!("[{i}, {c}]"))
                 .collect::<Vec<String>>()
                 .join(", "),

@@ -176,6 +176,42 @@ proptest! {
         prop_assert_eq!(rebuilt.to_json_fragment(), whole.to_json_fragment());
     }
 
+    /// The dense window stays canonical: however a stream is observed
+    /// (forward, reversed, or cut into shards merged in either order),
+    /// the occupied-bucket count matches the nonzero bucket list, and
+    /// rebuilding from that list with `from_parts` is `Eq` to the sketch
+    /// it came from.
+    #[test]
+    fn window_is_canonical_under_any_build_order(
+        a in samples(),
+        cuts in prop::collection::vec(0.0f64..1.0, 0..4),
+    ) {
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| (a.len() as f64 * c) as usize).collect();
+        bounds.push(0);
+        bounds.push(a.len());
+        bounds.sort_unstable();
+        let shards: Vec<QuantileSketch> =
+            bounds.windows(2).map(|w| observed(&a[w[0]..w[1]])).collect();
+        let forward = shards.iter().fold(QuantileSketch::new(), |acc, s| acc.merge(s));
+        let backward = shards.iter().rev().fold(QuantileSketch::new(), |acc, s| acc.merge(s));
+        let reversed: Vec<f64> = a.iter().rev().copied().collect();
+        let whole = observed(&a);
+        for built in [&forward, &backward, &observed(&reversed), &whole] {
+            prop_assert_eq!(built, &whole);
+            let buckets = built.nonzero_buckets();
+            prop_assert_eq!(built.occupied_buckets(), buckets.len());
+            prop_assert!(buckets.windows(2).all(|w| w[0].0 < w[1].0));
+            let rebuilt = QuantileSketch::from_parts(
+                &buckets,
+                built.zeros(),
+                built.invalid(),
+                built.min_bits(),
+                built.max_bits(),
+            );
+            prop_assert_eq!(&rebuilt, built);
+        }
+    }
+
     /// Subnormal and zero observations are valid sketch samples:
     /// subnormals clamp into bucket 0 (never `invalid`), zeros stay in
     /// their exact slot, and extrema remain exact.

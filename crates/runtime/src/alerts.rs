@@ -161,6 +161,10 @@ pub(crate) struct WindowCounts {
     pub(crate) total: Vec<u64>,
     /// Per-slot miss counts.
     pub(crate) miss: Vec<u64>,
+    /// Running sum of `total` (derived; not serialized).
+    pub(crate) sum_total: u64,
+    /// Running sum of `miss` (derived; not serialized).
+    pub(crate) sum_miss: u64,
 }
 
 impl WindowCounts {
@@ -171,7 +175,16 @@ impl WindowCounts {
             cur: 0,
             total: vec![0; WINDOW_BUCKETS],
             miss: vec![0; WINDOW_BUCKETS],
+            sum_total: 0,
+            sum_miss: 0,
         }
+    }
+
+    /// Recomputes the running sums from the slots (after the slots are
+    /// filled directly, as a snapshot parse does).
+    pub(crate) fn resum(&mut self) {
+        self.sum_total = self.total.iter().sum();
+        self.sum_miss = self.miss.iter().sum();
     }
 
     /// Rolls the ring forward to the bucket containing `at_s`, zeroing
@@ -185,8 +198,8 @@ impl WindowCounts {
         let steps = (idx - self.cur).min(WINDOW_BUCKETS as u64);
         for k in 1..=steps {
             let slot = ((self.cur + k) % WINDOW_BUCKETS as u64) as usize;
-            self.total[slot] = 0;
-            self.miss[slot] = 0;
+            self.sum_total -= std::mem::take(&mut self.total[slot]);
+            self.sum_miss -= std::mem::take(&mut self.miss[slot]);
         }
         self.cur = idx;
     }
@@ -195,19 +208,21 @@ impl WindowCounts {
         self.advance(at_s);
         let slot = (self.cur % WINDOW_BUCKETS as u64) as usize;
         self.total[slot] += 1;
+        self.sum_total += 1;
         if miss {
             self.miss[slot] += 1;
+            self.sum_miss += 1;
         }
     }
 
     /// Miss fraction over the trailing window (0 when nothing observed).
+    /// O(1): reads the running sums, which are exact integer sums of
+    /// the slots.
     pub(crate) fn miss_fraction(&self) -> f64 {
-        let total: u64 = self.total.iter().sum();
-        if total == 0 {
+        if self.sum_total == 0 {
             return 0.0;
         }
-        let miss: u64 = self.miss.iter().sum();
-        miss as f64 / total as f64
+        self.sum_miss as f64 / self.sum_total as f64
     }
 }
 
@@ -304,27 +319,21 @@ impl AlertBook {
                 AlertRule::Fast => (&st.fast_short, &st.fast_long, &mut st.fast_firing),
                 AlertRule::Slow => (&st.slow_short, &st.slow_long, &mut st.slow_firing),
             };
-            let burn_short = short.miss_fraction() / budget;
-            let burn_long = long.miss_fraction() / budget;
-            if !*firing && burn_short >= rule.factor && burn_long >= rule.factor {
-                *firing = true;
+            let burn = |w: &WindowCounts| w.miss_fraction() / budget;
+            let burn_short = burn(short);
+            // The long window is read only when it can matter: to
+            // confirm a fire, and for the transition's record.
+            let fire = !*firing && burn_short >= rule.factor && burn(long) >= rule.factor;
+            let resolve = *firing && burn_short < rule.factor;
+            if fire || resolve {
+                *firing = fire;
                 transitions.push(AlertEvent {
                     class,
                     rule: which,
-                    fire: true,
+                    fire,
                     at_s,
                     burn_short,
-                    burn_long,
-                });
-            } else if *firing && burn_short < rule.factor {
-                *firing = false;
-                transitions.push(AlertEvent {
-                    class,
-                    rule: which,
-                    fire: false,
-                    at_s,
-                    burn_short,
-                    burn_long,
+                    burn_long: burn(long),
                 });
             }
         }

@@ -18,7 +18,6 @@ use albireo_core::accel::{Accelerator, AlbireoAccelerator};
 use albireo_core::config::{ChipConfig, TechnologyEstimate};
 use albireo_modes::{GemmMode, WinogradAccelerator};
 use albireo_nn::{zoo, Model};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -332,7 +331,14 @@ impl ServiceCost {
 /// factor anywhere.
 #[derive(Debug, Default)]
 pub struct ServiceOracle {
-    cache: BTreeMap<(usize, usize, usize), ServiceCost>,
+    /// Memoised costs, flat over `(chip, groups_active, network)` with
+    /// strides `groups × networks` and `networks`; sized lazily from the
+    /// fleet on first use.
+    table: Vec<Option<ServiceCost>>,
+    /// Extent of the `groups_active` axis (largest group count + 1).
+    groups: usize,
+    /// Extent of the `network` axis.
+    networks: usize,
 }
 
 impl ServiceOracle {
@@ -354,20 +360,40 @@ impl ServiceOracle {
             groups_active > 0,
             "a chip with zero compute groups cannot serve"
         );
-        *self
-            .cache
-            .entry((chip_idx, groups_active, network))
-            .or_insert_with(|| {
-                let spec = &fleet.chips[chip_idx];
-                let model = &fleet.models[network];
-                let cost = spec.accel.cost_with_groups(model, groups_active);
-                ServiceCost {
-                    item_latency_s: cost.latency_s,
-                    batch_setup_s: cost.setup_s,
-                    item_energy_j: cost.energy_j,
-                    batch_setup_energy_j: cost.setup_energy_j,
-                }
-            })
+        let slot = self.slot(fleet, chip_idx, groups_active, network);
+        *self.table[slot].get_or_insert_with(|| {
+            let spec = &fleet.chips[chip_idx];
+            let model = &fleet.models[network];
+            let cost = spec.accel.cost_with_groups(model, groups_active);
+            ServiceCost {
+                item_latency_s: cost.latency_s,
+                batch_setup_s: cost.setup_s,
+                item_energy_j: cost.energy_j,
+                batch_setup_energy_j: cost.setup_energy_j,
+            }
+        })
+    }
+
+    /// The flat index of `(chip, groups, network)`. The first call sizes
+    /// the table from the fleet, which covers every valid coordinate; a
+    /// coordinate outside it re-lays the table out, keeping every
+    /// memoised entry.
+    fn slot(&mut self, fleet: &FleetConfig, chip: usize, groups: usize, network: usize) -> usize {
+        let (g, n) = (self.groups, self.networks);
+        let chips = self.table.len() / (g * n).max(1);
+        if chip >= chips || groups >= g || network >= n {
+            let most_groups = fleet.chips.iter().map(|c| c.accel.compute_groups()).max();
+            let chips = chips.max(fleet.chips.len()).max(chip + 1);
+            self.groups = g.max(most_groups.unwrap_or(0).max(groups) + 1);
+            self.networks = n.max(fleet.models.len()).max(network + 1);
+            let grown = vec![None; chips * self.groups * self.networks];
+            let old = std::mem::replace(&mut self.table, grown);
+            for (i, cost) in old.into_iter().enumerate().filter(|(_, c)| c.is_some()) {
+                let (ci, gi, ni) = (i / (g * n), i / n % g, i % n);
+                self.table[(ci * self.groups + gi) * self.networks + ni] = cost;
+            }
+        }
+        (chip * self.groups + groups) * self.networks + network
     }
 }
 
@@ -513,6 +539,31 @@ mod tests {
         let pixel = oracle.cost(&fleet, 1, fleet.chips[1].accel.compute_groups(), 1);
         assert_eq!(pixel.batch_setup_s, 0.0, "PIXEL streams weights");
         assert!(pixel.item_latency_s > deap.item_latency_s);
+    }
+
+    #[test]
+    fn oracle_table_matches_direct_costs_at_every_coordinate() {
+        let fleet = FleetConfig::paper_pair();
+        let mut oracle = ServiceOracle::new();
+        for pass in 0..2 {
+            for (chip, spec) in fleet.chips.iter().enumerate() {
+                for groups in (1..=spec.accel.compute_groups()).rev() {
+                    for (network, model) in fleet.models.iter().enumerate() {
+                        let direct = spec.accel.cost_with_groups(model, groups);
+                        let cost = oracle.cost(&fleet, chip, groups, network);
+                        assert_eq!(
+                            (cost.item_latency_s, cost.batch_setup_s),
+                            (direct.latency_s, direct.setup_s),
+                            "pass {pass}: chip {chip}, {groups} groups, network {network}"
+                        );
+                        assert_eq!(
+                            (cost.item_energy_j, cost.batch_setup_energy_j),
+                            (direct.energy_j, direct.setup_energy_j)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -225,6 +225,9 @@ struct Sim<'a> {
     /// Lookahead request — the next arrival not yet merged into the run.
     next_arrival: Option<Request>,
     totals: RunTotals,
+    /// The batch being dispatched; owned here so dispatch reuses one
+    /// allocation for the whole run.
+    batch_buf: Vec<Request>,
 }
 
 impl<'a> Sim<'a> {
@@ -311,29 +314,29 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Removes the queue head's micro-batch: the earliest queued requests
-    /// of the head's network, up to the policy's batch bound. The common
-    /// case — a contiguous same-network prefix — pops in place; only a
-    /// genuinely interleaved queue pays the compacting scan.
-    fn take_batch(&mut self) -> Vec<Request> {
+    /// Moves the queue head's micro-batch into `batch_buf` (cleared
+    /// first; its capacity is reused across dispatches): the earliest
+    /// queued requests of the head's network, up to the policy's batch
+    /// bound. The common case — a contiguous same-network prefix — pops
+    /// in place; only a genuinely interleaved queue pays the compacting
+    /// scan.
+    fn take_batch(&mut self) {
         let network = self.queue.front().expect("head exists").network;
         let max = self.cfg.policy.max_batch();
-        let mut batch = Vec::with_capacity(max.min(64));
+        let batch = &mut self.batch_buf;
+        batch.clear();
         while batch.len() < max && self.queue.front().is_some_and(|r| r.network == network) {
             batch.push(self.queue.pop_front().expect("front exists"));
         }
         if batch.len() < max && self.queue.iter().any(|r| r.network == network) {
-            let mut rest = VecDeque::with_capacity(self.queue.len());
-            while let Some(r) = self.queue.pop_front() {
-                if r.network == network && batch.len() < max {
-                    batch.push(r);
-                } else {
-                    rest.push_back(r);
+            self.queue.retain(|r| {
+                let take = r.network == network && batch.len() < max;
+                if take {
+                    batch.push(r.clone());
                 }
-            }
-            self.queue = rest;
+                !take
+            });
         }
-        batch
     }
 
     /// Folds one completed request into the streaming accumulators (and
@@ -392,7 +395,8 @@ impl<'a> Sim<'a> {
             let Some(chip) = (0..self.chips.len()).find(|&c| self.serviceable(c, network)) else {
                 return;
             };
-            let batch = self.take_batch();
+            self.take_batch();
+            let batch = std::mem::take(&mut self.batch_buf);
             let cost =
                 self.oracle
                     .cost(self.fleet, chip, self.groups_active(chip), batch[0].network);
@@ -447,6 +451,7 @@ impl<'a> Sim<'a> {
                 self.complete_request(req, chip, now, finish_s);
             }
             self.push(now + busy, EventKind::Completion { chip });
+            self.batch_buf = batch;
         }
     }
 
@@ -866,6 +871,7 @@ fn new_sim<'a>(fleet: &'a FleetConfig, cfg: &'a ServeConfig, obs: &'a Obs) -> Si
         stream,
         next_arrival: None,
         totals: RunTotals::with_alerts(classes, cfg.alert),
+        batch_buf: Vec::new(),
     };
     for fault in cfg.faults.sorted_events() {
         sim.push(fault.at_s, EventKind::Fault(fault.kind));
@@ -1051,6 +1057,7 @@ pub fn resume_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
         stream,
         next_arrival: snapshot.next_arrival.clone(),
         totals: snapshot.totals.clone(),
+        batch_buf: Vec::new(),
     };
     Ok(sim.run_checkpointed(ckpt))
 }

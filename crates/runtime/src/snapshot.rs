@@ -31,6 +31,7 @@ use crate::report::{ClassTotals, RequestRecord, RunTotals};
 use crate::sim::{ChipState, EventKind};
 use crate::workload::Request;
 use albireo_core::report::json;
+use albireo_obs::sketch::MAX_BUCKETS;
 use albireo_obs::{fnv1a, QuantileSketch};
 use std::fmt::Write as _;
 
@@ -496,7 +497,7 @@ impl SimSnapshot {
             });
         }
         let n_queued = p_usize(cur.tagged("queued")?)?;
-        let mut queue = Vec::with_capacity(n_queued);
+        let mut queue = Vec::new();
         for _ in 0..n_queued {
             let rest = cur.tagged("req")?;
             let mut t = rest.split_whitespace();
@@ -508,7 +509,7 @@ impl SimSnapshot {
             });
         }
         let n_events = p_usize(cur.tagged("events")?)?;
-        let mut events = Vec::with_capacity(n_events);
+        let mut events = Vec::new();
         for _ in 0..n_events {
             let rest = cur.tagged("event")?;
             let mut t = rest.split_whitespace();
@@ -545,7 +546,7 @@ impl SimSnapshot {
             events.push((time_bits, class, ev_seq, kind));
         }
         let n_chips = p_usize(cur.tagged("chips")?)?;
-        let mut chips = Vec::with_capacity(n_chips);
+        let mut chips = Vec::new();
         for _ in 0..n_chips {
             let rest = cur.tagged("chip")?;
             let mut t = rest.split_whitespace();
@@ -608,7 +609,7 @@ impl SimSnapshot {
                 }
                 states[class] = Some(st);
             }
-            let mut events = Vec::with_capacity(n_events);
+            let mut events = Vec::new();
             for _ in 0..n_events {
                 let rest = cur.tagged("aevent")?;
                 let mut t = rest.split_whitespace();
@@ -679,9 +680,24 @@ fn parse_window(rest: &str, w: &mut WindowCounts) -> Result<(), String> {
         if slot >= w.total.len() {
             return Err(format!("awin slot {slot} outside the ring"));
         }
-        w.total[slot] = p_u64(tok(&mut parts, "awin total")?)?;
-        w.miss[slot] = p_u64(tok(&mut parts, "awin miss")?)?;
+        let total = p_u64(tok(&mut parts, "awin total")?)?;
+        let miss = p_u64(tok(&mut parts, "awin miss")?)?;
+        if miss > total {
+            return Err(format!(
+                "awin slot {slot}: {miss} misses of {total} observations"
+            ));
+        }
+        w.total[slot] = total;
+        w.miss[slot] = miss;
     }
+    if w.total
+        .iter()
+        .try_fold(0u64, |a, &b| a.checked_add(b))
+        .is_none()
+    {
+        return Err("awin slot totals overflow u64".to_string());
+    }
+    w.resum();
     Ok(())
 }
 
@@ -709,7 +725,8 @@ fn parse_sketch(rest: &str) -> Result<QuantileSketch, String> {
     let min_bits = p_hex(tok(&mut t, "sketch min")?)?;
     let max_bits = p_hex(tok(&mut t, "sketch max")?)?;
     let n = p_usize(tok(&mut t, "sketch buckets")?)?;
-    let mut buckets = Vec::with_capacity(n);
+    let mut buckets: Vec<(u16, u64)> = Vec::new();
+    let mut total = zeros;
     for _ in 0..n {
         let pair = tok(&mut t, "sketch bucket")?;
         let (idx, count) = pair
@@ -717,6 +734,24 @@ fn parse_sketch(rest: &str) -> Result<QuantileSketch, String> {
             .ok_or_else(|| format!("bad sketch bucket `{pair}`"))?;
         let idx: u16 = idx.parse().map_err(|e| format!("bad bucket index: {e}"))?;
         let count = p_u64(count)?;
+        if idx as usize >= MAX_BUCKETS {
+            return Err(format!(
+                "sketch bucket index {idx} outside the {MAX_BUCKETS}-bucket space"
+            ));
+        }
+        if let Some(&(prev, _)) = buckets.last() {
+            if idx <= prev {
+                return Err(format!(
+                    "sketch bucket index {idx} after {prev}: indices must be strictly ascending"
+                ));
+            }
+        }
+        if count == 0 {
+            return Err(format!("sketch bucket {idx} has a zero count"));
+        }
+        total = total
+            .checked_add(count)
+            .ok_or_else(|| "sketch counts overflow u64".to_string())?;
         buckets.push((idx, count));
     }
     Ok(QuantileSketch::from_parts(
@@ -784,6 +819,7 @@ fn p_hex(s: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> SimSnapshot {
         let mut interactive = ClassTotals::new("interactive", Some(5.0));
@@ -868,6 +904,55 @@ mod tests {
         }
     }
 
+    /// Nondecreasing `(at_s, miss)` sequences: mostly steps inside one
+    /// bucket, some that skip buckets or the whole window.
+    fn observations() -> impl Strategy<Value = Vec<(f64, bool)>> {
+        prop::collection::vec(
+            (
+                prop_oneof![3 => 0.0f64..20.0, 1 => 0.0f64..4000.0],
+                prop::bool::ANY,
+            ),
+            0..120,
+        )
+        .prop_map(|steps| {
+            let mut t = 0.0;
+            steps
+                .into_iter()
+                .map(|(dt, miss)| {
+                    t += dt;
+                    (t, miss)
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        /// The running sums equal a fresh re-sum of the slots after every
+        /// observe, and a `write_window` → `parse_window` round trip
+        /// rebuilds them (they are derived, not serialized).
+        #[test]
+        fn window_running_sums_match_a_fresh_resum(
+            obs in observations(),
+            window_s in prop_oneof![Just(300.0), Just(3600.0), Just(21_600.0)],
+        ) {
+            let resum = |w: &WindowCounts| {
+                (w.total.iter().sum::<u64>(), w.miss.iter().sum::<u64>())
+            };
+            let mut w = WindowCounts::new(window_s);
+            for &(at_s, miss) in &obs {
+                w.observe(at_s, miss);
+                prop_assert_eq!((w.sum_total, w.sum_miss), resum(&w));
+                let mut line = String::new();
+                write_window(&mut line, &w);
+                let mut back = WindowCounts::new(window_s);
+                let rest = line.trim_end().strip_prefix("awin ").expect("awin tag");
+                parse_window(rest, &mut back).expect("round trip parses");
+                prop_assert_eq!((back.sum_total, back.sum_miss), resum(&back));
+                prop_assert_eq!(&back, &w);
+            }
+        }
+    }
+
     #[test]
     fn snapshot_round_trips_byte_exactly() {
         let snap = sample();
@@ -908,6 +993,87 @@ mod tests {
         let rewritten = format!("{body}digest {digest:016x}\n");
         let err = SimSnapshot::parse(&rewritten).unwrap_err();
         assert!(err.contains("unsupported snapshot schema"), "{err}");
+    }
+
+    /// `text` with the first `from` replaced by `to` and the trailing
+    /// digest recomputed, so only the edited field can fail the parse.
+    fn resealed(text: &str, from: &str, to: &str) -> String {
+        assert!(text.contains(from), "`{from}` not in the snapshot");
+        let (body, _) = text.rsplit_once("digest ").expect("digest line");
+        let body = body.replacen(from, to, 1);
+        let digest = albireo_obs::fnv1a(body.as_bytes());
+        format!("{body}digest {digest:016x}\n")
+    }
+
+    /// The run sketch of [`sample`]: 1.25 lands in bucket 2056 and 3.5
+    /// in bucket 2104.
+    const SKETCH_BUCKETS: &str = " 2 2056:1 2104:1\n";
+
+    #[test]
+    fn sketch_bucket_index_outside_the_bucket_space_is_an_error() {
+        let text = resealed(&sample().to_text(), SKETCH_BUCKETS, " 2 2056:1 5000:1\n");
+        let err = SimSnapshot::parse(&text).unwrap_err();
+        assert!(err.contains("bucket index 5000 outside"), "{err}");
+    }
+
+    #[test]
+    fn repeated_or_descending_sketch_buckets_are_an_error() {
+        for bad in [" 2 2056:1 2056:1\n", " 2 2104:1 2056:1\n"] {
+            let text = resealed(&sample().to_text(), SKETCH_BUCKETS, bad);
+            let err = SimSnapshot::parse(&text).unwrap_err();
+            assert!(err.contains("strictly ascending"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_sketch_bucket_count_is_an_error() {
+        let text = resealed(&sample().to_text(), SKETCH_BUCKETS, " 2 2056:0 2104:1\n");
+        let err = SimSnapshot::parse(&text).unwrap_err();
+        assert!(err.contains("zero count"), "{err}");
+    }
+
+    #[test]
+    fn overflowing_sketch_counts_are_an_error() {
+        let max = u64::MAX;
+        let text = resealed(
+            &sample().to_text(),
+            SKETCH_BUCKETS,
+            &format!(" 2 2056:{max} 2104:{max}\n"),
+        );
+        let err = SimSnapshot::parse(&text).unwrap_err();
+        assert!(err.contains("overflow"), "{err}");
+    }
+
+    #[test]
+    fn huge_header_counts_fail_without_preallocating() {
+        let huge = "99999999999999999";
+        for (from, to) in [
+            (
+                SKETCH_BUCKETS.to_string(),
+                format!(" {huge} 2056:1 2104:1\n"),
+            ),
+            ("\nqueued 1\n".to_string(), format!("\nqueued {huge}\n")),
+            ("\nevents 4\n".to_string(), format!("\nevents {huge}\n")),
+            ("\nchips 1\n".to_string(), format!("\nchips {huge}\n")),
+        ] {
+            let text = resealed(&sample().to_text(), &from, &to);
+            assert!(SimSnapshot::parse(&text).is_err(), "{to:?} parsed");
+        }
+        // The alert section's event count is a header count too.
+        let mut snap = sample();
+        snap.totals.alerts = AlertBook::for_classes(AlertPolicy::standard(), &[Some(5.0), None]);
+        let text = snap.to_text();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("alerts "))
+            .expect("alerts line");
+        let mut fields: Vec<&str> = line.split(' ').collect();
+        fields[9] = huge; // alerts <7 policy words> <states> <events> <dropped>
+        let text = resealed(&text, line, &fields.join(" "));
+        assert!(
+            SimSnapshot::parse(&text).is_err(),
+            "huge alert event count parsed"
+        );
     }
 
     #[test]
