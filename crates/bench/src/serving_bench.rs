@@ -19,7 +19,7 @@
 use albireo_obs::Obs;
 use albireo_parallel::Parallelism;
 use albireo_runtime::{
-    run_serving_study, simulate, simulate_observed, ArrivalProcess, FaultScenario, FaultSpec,
+    run_serving_study, simulate, simulate_with, ArrivalProcess, FaultScenario, FaultSpec,
     ServeConfig, StudyOptions, Workload,
 };
 use std::path::Path;
@@ -73,7 +73,7 @@ fn measure_obs_overhead(options: &StudyOptions) -> Row {
     let obs = Obs::enabled();
     let enabled_ms = median(
         (0..reps)
-            .map(|_| time_ms(&|| drop(simulate_observed(fleet, &cfg, &obs))))
+            .map(|_| time_ms(&|| drop(simulate_with(fleet, &cfg, &obs, None, None))))
             .collect(),
     );
     let events = obs.drain_events().len() / reps;

@@ -170,22 +170,11 @@ const TRACE_OUT: &[Flag] = &[
     flag("metrics-out", FILE, "OpenMetrics text export"),
 ];
 
-/// Arrival-process shape (`serve`, `plan`).
-#[rustfmt::skip]
-const ARRIVAL: &[Flag] = &[
-    flag("arrival", Kind::Str("poisson|bursty|diurnal|flash"), "arrival process").or("poisson"),
-    flag("burst", Kind::Float(Range::above(1.0)), "bursty: on-phase rate multiplier").or("4"),
-    flag("amplitude", Kind::Float(Range::between(0.0, false, 1.0, false)), "diurnal: swing").or("0.5"),
-    flag("period", POSITIVE, "diurnal: period, s").or("1"),
-    flag("spike", Kind::Float(Range::above(1.0)), "flash: peak rate multiplier").or("8"),
-    flag("spike-at", Kind::Float(Range::at_least(0.0)), "flash: onset, s").or("0.05"),
-    flag("spike-decay", POSITIVE, "flash: decay constant, s").or("0.1"),
-];
-
 /// The workload and fleet knobs `serve` and `plan` share.
 #[rustfmt::skip]
 const WORKLOAD: &[Flag] = &[
     flag("rate", POSITIVE, "offered load, requests/s").or("2000"),
+    flag("arrival", Kind::Str("SPEC"), "poisson | bursty:B:ON_S:OFF_S | diurnal:A:PERIOD_S | flash:SPIKE:AT_S:DECAY_S").or("poisson"),
     flag("seed", COUNT0, "workload seed").or("42"),
     flag("replicas", COUNT, "independent seeded replicas").or("1"),
     flag("networks", Kind::List("A,B"), "equal-weight network mix").or("alexnet"),
@@ -371,34 +360,6 @@ fn parse_mix(args: &Args, models: &[Model]) -> Result<Vec<(usize, f64)>, CliErro
     Ok(mix)
 }
 
-/// Builds the arrival process from the [`ARRIVAL`] group.
-fn parse_arrival(args: &Args, rate_rps: f64) -> Result<albireo_runtime::ArrivalProcess, CliError> {
-    use albireo_runtime::ArrivalProcess;
-    match args.str("arrival").unwrap_or_default() {
-        "poisson" => Ok(ArrivalProcess::Poisson { rate_rps }),
-        "bursty" => Ok(ArrivalProcess::Bursty {
-            rate_rps,
-            burst: args.get("burst"),
-            on_s: 0.01,
-            off_s: 0.04,
-        }),
-        "diurnal" => Ok(ArrivalProcess::Diurnal {
-            rate_rps,
-            amplitude: args.get("amplitude"),
-            period_s: args.get("period"),
-        }),
-        "flash" => Ok(ArrivalProcess::FlashCrowd {
-            rate_rps,
-            spike: args.get("spike"),
-            at_s: args.get("spike-at"),
-            decay_s: args.get("spike-decay"),
-        }),
-        other => Err(CliError::Unknown(format!(
-            "unknown arrival process `{other}` (try: poisson, bursty, diurnal, flash)"
-        ))),
-    }
-}
-
 /// An `Obs` handle for a command run: enabled only when a trace export
 /// or an OpenMetrics export was requested, with wall-clock stamping
 /// behind `--wall-clock`.
@@ -564,7 +525,7 @@ pub(crate) mod tests {
             }
         }
         // Shared helpers read only flags of the shared groups.
-        let shared: Vec<&str> = [GLOBAL, NG, ESTIMATE, TRACE_OUT, ARRIVAL, WORKLOAD]
+        let shared: Vec<&str> = [GLOBAL, NG, ESTIMATE, TRACE_OUT, WORKLOAD]
             .iter()
             .flat_map(|g| g.iter().map(|f| f.name))
             .collect();

@@ -4,17 +4,17 @@
 //! Deterministic at any `--threads` value; `--spec` replays a plan from
 //! its canonical one-line echo.
 
-use super::{
-    parse_arrival, parse_mix, serve, write_file, CliError, Command, ARRIVAL, COUNT, FILE, WORKLOAD,
-};
+use super::{parse_mix, serve, write_file, CliError, Command, COUNT, FILE, WORKLOAD};
 use crate::args::{flag, ArgError, Args, Flag, Kind};
 use albireo_nn::zoo;
 use albireo_obs::Obs;
 use albireo_parallel::Parallelism;
 use albireo_plan::{PlanSpec, SloSpec};
-use albireo_runtime::{AutoscalePolicy, BatchPolicy, ClassSpec, FaultSpec, Workload};
+use albireo_runtime::{
+    ArrivalProcess, AutoscalePolicy, BatchPolicy, ClassSpec, FaultSpec, Workload,
+};
 
-/// Everything a `--spec` line fixes (with [`WORKLOAD`] and [`ARRIVAL`]).
+/// Everything a `--spec` line fixes (with [`WORKLOAD`]).
 #[rustfmt::skip]
 const SHAPE: &[Flag] = &[
     flag("slo", Kind::Str("p99<MS[,attain>=A][,shed<=S]"), "the target (required without --spec)"),
@@ -41,7 +41,7 @@ pub(super) const COMMAND: Command = Command {
         "plan",
         &[],
         "capacity planner / fleet optimizer",
-        &[SHAPE, WORKLOAD, ARRIVAL, OUTPUT],
+        &[SHAPE, WORKLOAD, OUTPUT],
         run,
     )
 };
@@ -69,9 +69,14 @@ fn spec_from_flags(args: &Args) -> Result<PlanSpec, CliError> {
             .map_err(|e| CliError::Unknown(format!("--classes: {e}")))?,
         None => Vec::new(),
     };
+    let process = ArrivalProcess::parse(
+        args.str("arrival").unwrap_or_default(),
+        args.get::<f64>("rate"),
+    )
+    .map_err(|e| CliError::Unknown(format!("--arrival: {e}")))?;
     let spec = PlanSpec {
         workload: Workload {
-            process: parse_arrival(args, args.get::<f64>("rate"))?,
+            process,
             mix,
             classes,
         },
@@ -106,7 +111,7 @@ fn run(args: &Args) -> Result<String, CliError> {
         Some(line) => {
             // The spec line fixes the whole plan; mixing it with shape
             // flags would silently ignore one side.
-            if let Some(conflict) = [SHAPE, WORKLOAD, ARRIVAL]
+            if let Some(conflict) = [SHAPE, WORKLOAD]
                 .into_iter()
                 .find_map(|g| args.first_given(g))
             {

@@ -2,16 +2,17 @@
 //! checkpoint/resume, trace and metrics exports, and burn-rate alerts.
 
 use super::{
-    parse_arrival, parse_mix, trace_obs, write_file, write_metrics_out, write_trace_outputs,
-    CliError, Command, ARRIVAL, COUNT, COUNT0, FILE, POSITIVE, TRACE_OUT, WORKLOAD,
+    parse_mix, trace_obs, write_file, write_metrics_out, write_trace_outputs, CliError, Command,
+    COUNT, COUNT0, FILE, POSITIVE, TRACE_OUT, WORKLOAD,
 };
 use crate::args::{flag, ArgError, Args, Flag, Kind, Range};
 use albireo_nn::zoo;
+use albireo_obs::Obs;
 use albireo_parallel::Parallelism;
 use albireo_runtime::{
-    replicate, resume_checkpointed, simulate_checkpointed, simulate_observed, trace_track_names,
-    AdmissionControl, AlertPolicy, ArrivalProcess, AutoscalePolicy, BatchPolicy, ClassSpec,
-    FaultScenario, FaultSpec, FleetConfig, ServeConfig, ServeOutcome, SimSnapshot, Workload,
+    replicate, simulate_with, trace_track_names, AdmissionControl, AlertPolicy, ArrivalProcess,
+    AutoscalePolicy, BatchPolicy, ClassSpec, FaultScenario, FaultSpec, FleetConfig, OnCheckpoint,
+    ServeConfig, ServeOutcome, SimSnapshot, Workload,
 };
 
 #[rustfmt::skip]
@@ -23,7 +24,6 @@ const FLAGS: &[Flag] = &[
     flag("trace-jsonl", FILE, "replay arrivals from a JSONL trace instead of --arrival"),
     flag("slo", POSITIVE, "default latency SLO, ms (alone: one `default` class)"),
     flag("slo-target", Kind::Float(Range::between(0.0, false, 1.0, true)), "burn-rate alert objective").or("0.999"),
-    flag("record-cap", COUNT0, "per-request records retained").or("0"),
     flag("json", Kind::Bool, "emit the JSON report"),
     flag("out", FILE, "write the report here instead of stdout"),
 ];
@@ -46,7 +46,7 @@ pub(super) const COMMAND: Command = Command {
         "serve",
         &[],
         "multi-chip serving simulation",
-        &[FLAGS, WORKLOAD, ARRIVAL, CHECKPOINT, TRACE_OUT],
+        &[FLAGS, WORKLOAD, CHECKPOINT, TRACE_OUT],
         run,
     )
 };
@@ -64,7 +64,6 @@ pub(super) fn chip_kinds() -> String {
 }
 
 fn run(args: &Args) -> Result<String, CliError> {
-    let rate = args.get::<f64>("rate");
     let replicas = args.get::<usize>("replicas");
 
     // The serving model table: the paper's four benchmarks at indices
@@ -95,10 +94,10 @@ fn run(args: &Args) -> Result<String, CliError> {
 
     let process = match args.str("trace-jsonl") {
         Some(path) => {
-            if let Some(shape) = args.first_given(ARRIVAL) {
-                return Err(ArgError::Conflict(format!(
-                    "--trace-jsonl replays recorded arrivals; drop --{shape}"
-                ))
+            if args.given("arrival").is_some() {
+                return Err(ArgError::Conflict(
+                    "--trace-jsonl replays recorded arrivals; drop --arrival".into(),
+                )
                 .into());
             }
             let meta = std::fs::metadata(path)
@@ -110,7 +109,8 @@ fn run(args: &Args) -> Result<String, CliError> {
             }
             ArrivalProcess::TraceFile { path: path.into() }
         }
-        None => parse_arrival(args, rate)?,
+        None => ArrivalProcess::parse(args.str("arrival").unwrap_or_default(), args.get("rate"))
+            .map_err(|e| CliError::Unknown(format!("--arrival: {e}")))?,
     };
 
     // Multi-tenant request classes: `--classes name:weight[:slo_ms],...`
@@ -143,12 +143,17 @@ fn run(args: &Args) -> Result<String, CliError> {
         policy,
         admission,
         faults,
-        record_cap: args.get::<usize>("record-cap"),
+        // Reports never render the per-request sample, so keep none.
+        record_cap: 0,
         autoscale,
         // Burn-rate alerting objective: inert unless the workload
         // defines SLO classes.
         alert: AlertPolicy::with_target(args.get::<f64>("slo-target")),
     };
+    // A bad trace line is a usage error before the run, not a panic in it.
+    cfg.workload
+        .check_trace(fleet.models.len())
+        .map_err(CliError::Unknown)?;
     let checkpoint_every = args.num::<f64>("checkpoint-every");
     let resume_path = args.str("resume");
     // Self-describing diagnostic header for traced/exported runs: the
@@ -171,8 +176,8 @@ fn run(args: &Args) -> Result<String, CliError> {
             .find(|f| args.given(f).is_some())
         {
             return conflict(format!(
-                "trace capture re-runs the whole simulation and cannot cross a checkpoint \
-                 boundary; drop --{export}"
+                "a trace covers one uninterrupted run, and a checkpointed run can halt or \
+                 resume at a boundary; drop --{export}"
             ));
         }
     } else if let Some(dependent) = ["checkpoint-out", "report-jsonl", "halt-after-checkpoints"]
@@ -221,7 +226,7 @@ fn run(args: &Args) -> Result<String, CliError> {
             .map_or(0, |s| s.alert_events().len());
         let mut metric_points: Vec<(f64, albireo_obs::MetricsSnapshot)> = Vec::new();
         let mut io_err: Option<String> = None;
-        let on_checkpoint = |snap: &SimSnapshot| -> bool {
+        let mut on_checkpoint = |snap: &SimSnapshot| -> bool {
             if let Some(path) = checkpoint_out {
                 if let Err(e) = std::fs::write(path, snap.to_text()) {
                     io_err = Some(format!("cannot write {path}: {e}"));
@@ -246,19 +251,14 @@ fn run(args: &Args) -> Result<String, CliError> {
             }
             halt_after == 0 || snap.checkpoints() < halt_after
         };
-        let every = args.num::<f64>("checkpoint-every");
-        let outcome = match &resume_snapshot {
-            Some(snapshot) => {
-                resume_checkpointed(&fleet, &cfg, snapshot, every.unwrap_or(0.0), on_checkpoint)
-                    .map_err(CliError::Unknown)?
-            }
-            None => simulate_checkpointed(
-                &fleet,
-                &cfg,
-                every.expect("checkpointing implies an interval"),
-                on_checkpoint,
-            ),
-        };
+        let outcome = simulate_with(
+            &fleet,
+            &cfg,
+            &Obs::disabled(),
+            resume_snapshot.as_ref(),
+            checkpoint_every.map(|every| (every, &mut on_checkpoint as OnCheckpoint)),
+        )
+        .map_err(CliError::Unknown)?;
         if let Some(msg) = io_err {
             return Err(CliError::Io(msg));
         }
@@ -293,14 +293,11 @@ fn run(args: &Args) -> Result<String, CliError> {
             }
         }
     } else {
-        let reports = replicate(&fleet, &cfg, replicas, Parallelism::default());
-
-        // Trace capture re-runs replica 0 (same seed, same pure function)
-        // under an enabled Obs, so the replicated reports above stay
-        // byte-for-byte what an untraced run produces.
+        // Replica 0 runs under the observer: the traced run is the one
+        // reported, and observing it changes no report byte.
         let obs = trace_obs(args);
+        let reports = replicate(&fleet, &cfg, replicas, Parallelism::default(), &obs);
         let trace_note = if obs.is_enabled() {
-            simulate_observed(&fleet, &cfg, &obs);
             let snapshot = obs.snapshot();
             let mut note = config_header.clone();
             note.push_str(&write_trace_outputs(
@@ -429,14 +426,24 @@ mod tests {
         assert!(serve("--faults fail:0").is_err());
         assert!(serve("--faults degrade:0@0.1:0").is_err());
         assert!(serve("--arrival fractal").is_err());
-        assert!(serve("--arrival diurnal --amplitude 1.5").is_err());
-        assert!(serve("--arrival flash --spike 0.5").is_err());
+        for shape in [
+            "diurnal:1.5:1",
+            "flash:0.5:0.05:0.1",
+            "bursty:1:0.01:0.04",
+            "bursty:4:0.01",
+            "poisson:1",
+            "diurnal:0.5:inf",
+        ] {
+            let err = serve(&format!("--arrival {shape}")).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{shape}: {err}");
+            assert!(err.to_string().contains("--arrival"), "{shape}: {err}");
+        }
         assert!(serve("--trace-jsonl /no/such/file.jsonl").is_err());
         // A path that exists but is not a regular file names that problem.
         let dir = std::env::temp_dir();
         let err = serve(&format!("--trace-jsonl {}", dir.display())).unwrap_err();
         assert!(err.to_string().contains("not a regular file"), "{err}");
-        let err = serve("--trace-jsonl /tmp/x.jsonl --arrival bursty").unwrap_err();
+        let err = serve("--trace-jsonl /tmp/x.jsonl --arrival bursty:4:0.01:0.04").unwrap_err();
         assert!(err.to_string().contains("drop --arrival"), "{err}");
         for policy in ["deadline:nan", "deadline:inf", "deadline_s:inf:4"] {
             assert_eq!(
@@ -458,8 +465,9 @@ mod tests {
     #[test]
     fn serve_production_arrival_shapes_run() {
         for shape in [
-            "--arrival diurnal --amplitude 0.8 --period 0.5",
-            "--arrival flash --spike 6 --spike-at 0.02",
+            "--arrival diurnal:0.8:0.5",
+            "--arrival flash:6:0.02:0.1",
+            "--arrival bursty:4:0.01:0.04",
         ] {
             let line = format!("--requests 200 --seed 3 --json {shape}");
             let out = serve(&line).unwrap();
@@ -497,12 +505,20 @@ mod tests {
         assert!(out.contains("trace_file"), "{out}");
     }
     #[test]
-    fn serve_record_cap_does_not_change_output() {
-        // Reports never render the record sample, so capping it must be
-        // invisible to every rendering — text and JSON alike.
-        let full = serve("--requests 120 --json").unwrap();
-        let capped = serve("--requests 120 --record-cap 5 --json").unwrap();
-        assert_eq!(full, capped);
+    fn serve_trace_jsonl_checks_every_line_before_the_run() {
+        let path = temp_path("serve_bad_trace.jsonl");
+        let p = path.display();
+        // The bad line lies past the requests the run would replay: the
+        // whole file is checked up front all the same.
+        std::fs::write(
+            &path,
+            "{\"arrival_s\": 0.001}\n{\"arrival_s\": 0.002}\n{\"arrival_s\": 0.003, \"network\": 6}\n",
+        )
+        .unwrap();
+        let err = serve(&format!("--trace-jsonl {p} --requests 1")).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().starts_with(&format!("{p}:3: ")), "{err}");
+        std::fs::remove_file(&path).ok();
     }
     #[test]
     fn serve_heterogeneous_fleet_end_to_end() {

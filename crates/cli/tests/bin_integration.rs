@@ -293,6 +293,19 @@ fn bad_command_lines_exit_2_with_typed_diagnostics() {
         ("serve --policy deadline:nan", "finite and positive"),
         ("serve --policy deadline:inf", "finite and positive"),
         ("serve --rate nan", "invalid value `nan` for --rate"),
+        ("serve --arrival bursty", "missing its burst field"),
+        (
+            "serve --arrival diurnal:1.5:1",
+            "amplitude must be in (0, 1]",
+        ),
+        (
+            "serve --arrival flash:0.5:0.05:0.1",
+            "spike must be finite and exceed 1",
+        ),
+        (
+            "plan --slo p99<5ms --arrival warp",
+            "unknown arrival `warp`",
+        ),
         (
             "faults --dead-ring 9,9,9",
             "invalid value `9,9,9` for --dead-ring",
@@ -334,4 +347,81 @@ fn trace_jsonl_rejects_paths_that_are_not_regular_files() {
     assert!(!ok);
     assert!(stderr.contains("not a regular file"), "{stderr}");
     assert!(!stderr.contains("does not exist"), "{stderr}");
+}
+
+#[test]
+fn trace_jsonl_bad_lines_exit_2_with_path_and_line() {
+    let dir = std::env::temp_dir().join(format!("albireo_bad_traces_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // (file body, extra flags, the diagnostic after `path`)
+    for (i, (body, extra, needle)) in [
+        (
+            r#"{"arrival_s": "x"}"#,
+            "",
+            r#":1: "arrival_s" must be a number"#,
+        ),
+        (
+            r#"{"arrival_s": -1}"#,
+            "",
+            ":1: arrival_s -1 must be finite",
+        ),
+        (
+            r#"{"arrival_s": 1e999}"#,
+            "",
+            ":1: arrival_s inf must be finite",
+        ),
+        (
+            "{\"arrival_s\": 0.2}\n\n{\"arrival_s\": 0.1}",
+            "",
+            ":3: arrival_s 0.1 is before",
+        ),
+        (r#"{"t": 0.1}"#, "", r#":1: missing "arrival_s""#),
+        (r#"{"arrival_s": 0.1,}"#, "", ":1: JSON parse error"),
+        ("[0.1]", "", ":1: a trace line must be a JSON object"),
+        (
+            r#"{"arrival_s": 0.1, "network": 99}"#,
+            "",
+            r#":1: "network" must be an integer in 0..6"#,
+        ),
+        (
+            r#"{"arrival_s": 0.1, "network": -3}"#,
+            "",
+            r#":1: "network" must be an integer"#,
+        ),
+        (
+            r#"{"arrival_s": 0.1, "network": 1.7}"#,
+            "",
+            r#":1: "network" must be an integer"#,
+        ),
+        (
+            r#"{"arrival_s": 0.1, "class": 7}"#,
+            "--classes a:1,b:1",
+            r#":1: "class" must be an integer in 0..2"#,
+        ),
+        (
+            r#"{"arrival_s": 0.1, "class": 1}"#,
+            "",
+            r#":1: "class" given but no request classes"#,
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("case{i}.jsonl"));
+        std::fs::write(&path, format!("{body}\n")).unwrap();
+        let line = format!(
+            "serve --trace-jsonl {} --requests 5 {extra}",
+            path.display()
+        );
+        let out = Command::new(env!("CARGO_BIN_EXE_albireo"))
+            .args(line.split_whitespace())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{body}: {stderr}");
+        let at = format!("error: {}{needle}", path.display());
+        assert!(stderr.contains(&at), "{body}: want `{at}` in {stderr}");
+        assert!(out.stdout.is_empty(), "{body} ran anyway");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -272,11 +272,6 @@ impl AnalogEngine {
         self
     }
 
-    /// Sets the parallel execution policy in place.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
-    }
-
     /// The current parallel execution policy.
     pub fn parallelism(&self) -> Parallelism {
         self.par

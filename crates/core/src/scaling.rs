@@ -8,7 +8,7 @@
 //! given electronic baseline, and the per-device improvement factors the
 //! paper's moderate/aggressive columns actually assume.
 
-use crate::config::{ChipConfig, DevicePowers, TechnologyEstimate};
+use crate::config::{ChipConfig, TechnologyEstimate};
 use crate::energy::NetworkEvaluation;
 use crate::memory::MemoryModel;
 use crate::power::PowerBreakdown;
@@ -121,12 +121,6 @@ pub fn scaling_curve(chip: &ChipConfig, model: &Model, factors: &[f64]) -> Vec<S
             }
         })
         .collect()
-}
-
-/// Convenience: the conservative-estimate device powers (re-exported for
-/// scaling reports).
-pub fn conservative_powers() -> DevicePowers {
-    TechnologyEstimate::Conservative.device_powers()
 }
 
 #[cfg(test)]

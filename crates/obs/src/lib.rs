@@ -250,11 +250,6 @@ impl Obs {
     pub fn drain_events(&self) -> Vec<Event> {
         self.tracer.drain_sorted()
     }
-
-    /// Events dropped to ring-buffer bounds so far.
-    pub fn dropped_events(&self) -> u64 {
-        self.tracer.dropped()
-    }
 }
 
 impl Default for Obs {

@@ -84,11 +84,6 @@ impl PrecisionModel {
         &self.noise
     }
 
-    /// Replaces the noise parameters (e.g. for an 8 GHz bandwidth study).
-    pub fn with_noise(self, noise: NoiseParams) -> PrecisionModel {
-        PrecisionModel { noise, ..self }
-    }
-
     /// Number of noise-limited separable levels for `n_wavelengths`
     /// channels each delivering `per_channel_power_w` to the photodiode.
     ///
@@ -190,17 +185,6 @@ impl PrecisionModel {
             return 1.0;
         }
         1.0 + 1.0 / (1.0 / (ln * ln) + 1.0 / (lx * lx)).sqrt()
-    }
-
-    /// Combined precision in bits.
-    pub fn combined_bits(
-        &self,
-        ring: &Microring,
-        n_wavelengths: usize,
-        per_channel_power_w: f64,
-    ) -> f64 {
-        self.combined_levels(ring, n_wavelengths, per_channel_power_w)
-            .log2()
     }
 
     /// Applies the negative accumulation rail (paper §II-C2): doubling the

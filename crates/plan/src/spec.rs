@@ -140,10 +140,10 @@ impl fmt::Display for SloSpec {
 /// per request and "more chips" is free. `none` remains available for
 /// comparing against the legacy no-idle-accounting engine.
 ///
-/// * `arrival` — `poisson`, `bursty:<BURST>:<ON_S>:<OFF_S>`,
-///   `diurnal:<AMPLITUDE>:<PERIOD_S>`, or
-///   `flash:<SPIKE>:<AT_S>:<DECAY_S>` (parameters in the runtime's
-///   [`ArrivalProcess`] units; the mean rate comes from `rate`).
+/// * `arrival` — an [`ArrivalProcess::parse`] spec: `poisson`,
+///   `bursty:<BURST>:<ON_S>:<OFF_S>`, `diurnal:<AMPLITUDE>:<PERIOD_S>`,
+///   or `flash:<SPIKE>:<AT_S>:<DECAY_S>` (the mean rate comes from
+///   `rate`).
 /// * `mix` — comma list of `NETWORK_INDEX:WEIGHT` over the model zoo.
 /// * `classes` — optional comma list of `NAME:WEIGHT[:SLO_MS]` tenant
 ///   classes ([`ClassSpec::parse_list`] grammar).
@@ -189,115 +189,6 @@ pub struct PlanSpec {
     /// Correlated-fault scenario candidates are scored under (empty =
     /// healthy fleet), compiled against each candidate's fleet size.
     pub faults: FaultSpec,
-}
-
-fn arrival_spec(process: &ArrivalProcess) -> String {
-    match process {
-        ArrivalProcess::Poisson { .. } => "poisson".to_string(),
-        ArrivalProcess::Bursty {
-            burst, on_s, off_s, ..
-        } => format!("bursty:{burst}:{on_s}:{off_s}"),
-        ArrivalProcess::Diurnal {
-            amplitude,
-            period_s,
-            ..
-        } => format!("diurnal:{amplitude}:{period_s}"),
-        ArrivalProcess::FlashCrowd {
-            spike,
-            at_s,
-            decay_s,
-            ..
-        } => format!("flash:{spike}:{at_s}:{decay_s}"),
-        // Outside the reproducible grammar; `validate` rejects these.
-        ArrivalProcess::Trace { .. } => "trace".to_string(),
-        ArrivalProcess::TraceFile { path } => format!("trace_file:{path}"),
-    }
-}
-
-fn parse_arrival(spec: &str, rate_rps: f64) -> Result<ArrivalProcess, String> {
-    let field = |parts: &mut std::str::Split<'_, char>, name: &str| -> Result<f64, String> {
-        parts
-            .next()
-            .ok_or_else(|| format!("arrival `{spec}` is missing its {name} field"))?
-            .parse::<f64>()
-            .map_err(|_| format!("bad {name} in arrival `{spec}`"))
-    };
-    let done = |parts: &mut std::str::Split<'_, char>| -> Result<(), String> {
-        if parts.next().is_some() {
-            Err(format!("too many fields in arrival `{spec}`"))
-        } else {
-            Ok(())
-        }
-    };
-    if spec == "poisson" {
-        return Ok(ArrivalProcess::Poisson { rate_rps });
-    }
-    if let Some(rest) = spec.strip_prefix("bursty:") {
-        let mut parts = rest.split(':');
-        let burst = field(&mut parts, "burst")?;
-        let on_s = field(&mut parts, "on_s")?;
-        let off_s = field(&mut parts, "off_s")?;
-        done(&mut parts)?;
-        if !(burst.is_finite() && burst > 1.0) {
-            return Err(format!("burst must exceed 1 in arrival `{spec}`"));
-        }
-        if !(on_s.is_finite() && on_s > 0.0 && off_s.is_finite() && off_s > 0.0) {
-            return Err(format!(
-                "phase durations must be positive in arrival `{spec}`"
-            ));
-        }
-        return Ok(ArrivalProcess::Bursty {
-            rate_rps,
-            burst,
-            on_s,
-            off_s,
-        });
-    }
-    if let Some(rest) = spec.strip_prefix("diurnal:") {
-        let mut parts = rest.split(':');
-        let amplitude = field(&mut parts, "amplitude")?;
-        let period_s = field(&mut parts, "period_s")?;
-        done(&mut parts)?;
-        if !(amplitude.is_finite() && amplitude > 0.0 && amplitude <= 1.0) {
-            return Err(format!("amplitude must be in (0, 1] in arrival `{spec}`"));
-        }
-        if !(period_s.is_finite() && period_s > 0.0) {
-            return Err(format!("period must be positive in arrival `{spec}`"));
-        }
-        return Ok(ArrivalProcess::Diurnal {
-            rate_rps,
-            amplitude,
-            period_s,
-        });
-    }
-    if let Some(rest) = spec.strip_prefix("flash:") {
-        let mut parts = rest.split(':');
-        let spike = field(&mut parts, "spike")?;
-        let at_s = field(&mut parts, "at_s")?;
-        let decay_s = field(&mut parts, "decay_s")?;
-        done(&mut parts)?;
-        if !(spike.is_finite() && spike > 1.0) {
-            return Err(format!("spike must exceed 1 in arrival `{spec}`"));
-        }
-        if !(at_s.is_finite() && at_s >= 0.0) {
-            return Err(format!(
-                "spike onset must be non-negative in arrival `{spec}`"
-            ));
-        }
-        if !(decay_s.is_finite() && decay_s > 0.0) {
-            return Err(format!("decay must be positive in arrival `{spec}`"));
-        }
-        return Ok(ArrivalProcess::FlashCrowd {
-            rate_rps,
-            spike,
-            at_s,
-            decay_s,
-        });
-    }
-    Err(format!(
-        "unknown arrival `{spec}` (try: poisson, bursty:<BURST>:<ON_S>:<OFF_S>, \
-         diurnal:<AMPLITUDE>:<PERIOD_S>, flash:<SPIKE>:<AT_S>:<DECAY_S>)"
-    ))
 }
 
 impl PlanSpec {
@@ -350,7 +241,8 @@ impl PlanSpec {
         if !(rate_rps.is_finite() && rate_rps > 0.0) {
             return Err("rate must be positive".to_string());
         }
-        let process = parse_arrival(take("arrival").as_deref().unwrap_or("poisson"), rate_rps)?;
+        let process =
+            ArrivalProcess::parse(take("arrival").as_deref().unwrap_or("poisson"), rate_rps)?;
 
         let mut mix: Vec<(usize, f64)> = Vec::new();
         for entry in take("mix").as_deref().unwrap_or("0:1").split(',') {
@@ -537,7 +429,7 @@ impl fmt::Display for PlanSpec {
         write!(
             f,
             "arrival={};rate={}",
-            arrival_spec(&self.workload.process),
+            self.workload.process,
             self.workload.process.mean_rate_rps()
         )?;
         write!(f, ";mix=")?;

@@ -35,11 +35,10 @@
 //! * [`fault`] — timed chip/PLCG fault scenarios, correlated-failure
 //!   specs ([`fault::FaultSpec`]: rack groups, thermal epochs, repair
 //!   crews), and classification of analog fault sets;
-//! * [`sim`] — the discrete-event engine ([`sim::simulate`], plus
-//!   [`sim::simulate_observed`] recording spans/metrics into an
-//!   `albireo_obs::Obs` on the virtual clock, and
-//!   [`sim::simulate_checkpointed`] / [`sim::resume_checkpointed`] for
-//!   interruptible runs);
+//! * [`sim`] — the discrete-event engine: [`sim::simulate`] runs to
+//!   completion, and [`sim::simulate_with`] adds an `albireo_obs::Obs`
+//!   recording spans/metrics on the virtual clock, a snapshot to resume
+//!   from, and periodic checkpoints for interruptible runs;
 //! * [`snapshot`] — the versioned, self-digesting checkpoint format
 //!   (`albireo.snapshot/v1`) behind checkpoint/resume;
 //! * [`report`] — service metrics, text/CSV/JSON renderings, digests;
@@ -76,8 +75,7 @@ pub use policy::{AdmissionControl, BatchPolicy};
 pub use queue::{EventKey, EventQueue};
 pub use report::{ChipReport, ClassReport, RequestRecord, ServiceReport};
 pub use sim::{
-    resume_checkpointed, simulate, simulate_checkpointed, simulate_observed, trace_track_names,
-    ServeConfig, ServeOutcome,
+    simulate, simulate_with, trace_track_names, OnCheckpoint, ServeConfig, ServeOutcome,
 };
 pub use snapshot::{SimSnapshot, SNAPSHOT_SCHEMA};
 pub use study::{replicate, run_serving_study, ServingStudyReport, StudyOptions, StudyRun};

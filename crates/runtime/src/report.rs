@@ -788,7 +788,10 @@ mod tests {
         let fleet = FleetConfig::paper_pair();
         let cfg = ServeConfig::poisson(3000.0, 120, 9, 0);
         let obs = albireo_obs::Obs::enabled();
-        let report = crate::sim::simulate_observed(&fleet, &cfg, &obs);
+        let report = match crate::sim::simulate_with(&fleet, &cfg, &obs, None, None) {
+            Ok(crate::sim::ServeOutcome::Completed(report)) => *report,
+            other => panic!("run must complete: {other:?}"),
+        };
         let json = report.to_json_with_metrics(&obs.snapshot());
         assert!(json.contains("\"obs\": {"));
         assert!(json.contains("albireo.obs/v1"));

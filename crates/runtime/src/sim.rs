@@ -603,13 +603,6 @@ impl<'a> Sim<'a> {
         self.try_dispatch(now);
     }
 
-    fn run(self) -> ServiceReport {
-        match self.run_checkpointed(None) {
-            ServeOutcome::Completed(report) => *report,
-            ServeOutcome::Halted { .. } => unreachable!("halting requires a checkpointer"),
-        }
-    }
-
     /// Captures the full engine state at checkpoint boundary `at_s`.
     /// Everything strictly before the boundary has been applied; events
     /// at or after it are still pending.
@@ -803,25 +796,87 @@ impl<'a> Sim<'a> {
     }
 }
 
-/// Runs one serving simulation to completion.
+/// Runs one serving simulation to completion — [`simulate_with`] with
+/// no observer, no resume point and no checkpoints.
 pub fn simulate(fleet: &FleetConfig, cfg: &ServeConfig) -> ServiceReport {
-    simulate_observed(fleet, cfg, &Obs::disabled())
+    match simulate_with(fleet, cfg, &Obs::disabled(), None, None) {
+        Ok(ServeOutcome::Completed(report)) => *report,
+        _ => unreachable!("a fresh run without checkpoints neither fails nor halts"),
+    }
 }
 
-/// [`simulate`], recording the run into `obs`: per-batch spans on each
-/// chip's track (named after the batch's network), batch-formation /
-/// shed / fault instants and queue-depth samples on the dispatcher
-/// track, head-of-line wait and per-chip utilization histograms, the
-/// end-to-end latency quantile sketch (`serve.latency_ms`), and serving
-/// counters plus memory-bound gauges (`serve.peak_event_queue`,
-/// `serve.sketch_buckets`). All timestamps come from the DES virtual
-/// clock, so with a fixed seed the recorded trace is byte-reproducible.
+/// Receives each checkpoint's snapshot; returning `false` halts the run
+/// at that boundary.
+pub type OnCheckpoint<'a> = &'a mut dyn FnMut(&SimSnapshot) -> bool;
+
+/// Runs one serving simulation with every option: the one entry point
+/// behind [`simulate`], traced runs, checkpointing and resume.
 ///
-/// The returned report is identical to [`simulate`]'s — instrumentation
-/// only reads simulator state — and a disabled `obs` reduces every
-/// record site to one branch.
-pub fn simulate_observed(fleet: &FleetConfig, cfg: &ServeConfig, obs: &Obs) -> ServiceReport {
-    new_sim(fleet, cfg, obs).run()
+/// * `obs` — records the run on the DES virtual clock: per-batch spans
+///   on each chip's track (named after the batch's network),
+///   batch-formation / shed / fault instants and queue-depth samples on
+///   the dispatcher track, head-of-line wait and per-chip utilization
+///   histograms, the end-to-end latency sketch (`serve.latency_ms`),
+///   and serving counters plus memory-bound gauges
+///   (`serve.peak_event_queue`, `serve.sketch_buckets`). With a fixed
+///   seed the trace is byte-reproducible. Instrumentation only reads
+///   simulator state, so the report equals an unobserved run's, and a
+///   disabled `obs` reduces every record site to one branch.
+/// * `resume` — continues from a [`SimSnapshot`] taken under the *same*
+///   fleet and config. The workload stream is re-seeded and
+///   fast-forwarded past every arrival the snapshot consumed, then its
+///   lookahead is cross-checked bit for bit against the snapshot's: a
+///   mismatched workload, seed, request count, fleet, class table or
+///   config is an `Err`, not a silently different run. An observer
+///   sees only the resumed part.
+/// * `checkpoints` — `(every_s, on_checkpoint)`: a snapshot at every
+///   multiple of `every_s` on the virtual clock (on a resumed run, the
+///   snapshot's own grid). The callback returns `true` to keep running
+///   or `false` to halt at that boundary, after, e.g., persisting the
+///   snapshot. Checkpoints only read state.
+///
+/// A completed run's [`ServiceReport`] — digest and JSON included — is
+/// byte-identical to the uninterrupted, unobserved run's.
+pub fn simulate_with(
+    fleet: &FleetConfig,
+    cfg: &ServeConfig,
+    obs: &Obs,
+    resume: Option<&SimSnapshot>,
+    checkpoints: Option<(f64, OnCheckpoint<'_>)>,
+) -> Result<ServeOutcome, String> {
+    if let Some((every_s, _)) = checkpoints {
+        if !(every_s > 0.0 && every_s.is_finite()) {
+            return Err(format!(
+                "checkpoint interval {every_s} s must be positive and finite"
+            ));
+        }
+    }
+    let mut sim = new_sim(fleet, cfg, obs);
+    if let Some(snapshot) = resume {
+        sim.restore(snapshot)?;
+    }
+    let ckpt = match checkpoints {
+        Some((every_s, on_checkpoint)) => {
+            let emitted = resume.map_or(0, |s| s.checkpoints);
+            if let Some(snapshot) = resume {
+                let grid_at = emitted as f64 * every_s;
+                if grid_at.to_bits() != snapshot.at_s.to_bits() {
+                    return Err(format!(
+                        "checkpoint interval {every_s} s is off the snapshot's grid (checkpoint \
+                         {emitted} at {} s) — resume with the original --checkpoint-every",
+                        snapshot.at_s
+                    ));
+                }
+            }
+            Some(Checkpointer {
+                every_s,
+                emitted,
+                on_checkpoint,
+            })
+        }
+        None => None,
+    };
+    Ok(sim.run_checkpointed(ckpt))
 }
 
 /// Builds a fresh simulation at virtual time zero: seeded stream, fault
@@ -886,8 +941,7 @@ struct Checkpointer<'cb> {
     every_s: f64,
     /// Boundaries emitted so far (resume continues the count).
     emitted: u64,
-    /// Receives each snapshot; returning `false` halts the run.
-    on_checkpoint: &'cb mut dyn FnMut(&SimSnapshot) -> bool,
+    on_checkpoint: OnCheckpoint<'cb>,
 }
 
 /// How a checkpointed serving run ended.
@@ -911,80 +965,40 @@ pub(crate) fn config_fingerprint(fleet: &FleetConfig, cfg: &ServeConfig) -> u64 
     fnv1a(format!("{}|{:?}", fleet.label(), cfg).as_bytes())
 }
 
-/// Runs one serving simulation, emitting a [`SimSnapshot`] at every
-/// multiple of `every_s` on the virtual clock. The callback returns
-/// `true` to keep running or `false` to halt at that boundary (after,
-/// e.g., persisting the snapshot). Reports from checkpointed runs are
-/// byte-identical to [`simulate`]'s — checkpoints only read state.
-pub fn simulate_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
-    fleet: &FleetConfig,
-    cfg: &ServeConfig,
-    every_s: f64,
-    mut on_checkpoint: F,
-) -> ServeOutcome {
-    assert!(
-        every_s > 0.0 && every_s.is_finite(),
-        "checkpoint interval must be positive and finite"
-    );
-    let obs = Obs::disabled();
-    let sim = new_sim(fleet, cfg, &obs);
-    sim.run_checkpointed(Some(Checkpointer {
-        every_s,
-        emitted: 0,
-        on_checkpoint: &mut on_checkpoint,
-    }))
-}
-
-/// Resumes a run from a [`SimSnapshot`] captured by
-/// [`simulate_checkpointed`] under the *same* fleet and config.
-///
-/// The workload stream is re-seeded and fast-forwarded `offered` draws,
-/// then the regenerated lookahead is cross-checked bit for bit against
-/// the snapshot's — a mismatched workload, seed, or request count is
-/// an error, not a silently different run. `every_s > 0` continues
-/// periodic checkpoints on the original boundary grid (it must equal
-/// the interval the snapshot was taken on); `every_s == 0` runs to
-/// completion without further checkpoints.
-///
-/// The resumed run's [`ServiceReport`] — including its digest and JSON
-/// — is byte-identical to the uninterrupted run's.
-pub fn resume_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
-    fleet: &FleetConfig,
-    cfg: &ServeConfig,
-    snapshot: &SimSnapshot,
-    every_s: f64,
-    mut on_checkpoint: F,
-) -> Result<ServeOutcome, String> {
-    if snapshot.requests != cfg.requests {
-        return Err(format!(
-            "snapshot was taken at {} requests, config asks for {}",
-            snapshot.requests, cfg.requests
-        ));
-    }
-    if snapshot.seed != cfg.seed {
-        return Err(format!(
-            "snapshot was taken with seed {}, config uses {}",
-            snapshot.seed, cfg.seed
-        ));
-    }
-    let expected = config_fingerprint(fleet, cfg);
-    if snapshot.fingerprint != expected {
-        return Err(format!(
-            "snapshot fingerprint {:016x} does not match this fleet/config ({expected:016x}) — \
-             resume needs the exact original fleet, workload, policy, and fault scenario",
-            snapshot.fingerprint
-        ));
-    }
-    if snapshot.chips.len() != fleet.chips.len() {
-        return Err(format!(
-            "snapshot holds {} chip(s), fleet has {}",
-            snapshot.chips.len(),
-            fleet.chips.len()
-        ));
-    }
-    let mut stream = cfg.workload.stream(cfg.requests, cfg.seed);
-    {
-        let classes = stream.classes();
+impl Sim<'_> {
+    /// Replaces a fresh simulation's state with `snapshot`'s, after
+    /// checking that the snapshot belongs to this fleet and config and
+    /// replaying the workload stream up to the snapshot's lookahead.
+    fn restore(&mut self, snapshot: &SimSnapshot) -> Result<(), String> {
+        let (fleet, cfg) = (self.fleet, self.cfg);
+        if snapshot.requests != cfg.requests {
+            return Err(format!(
+                "snapshot was taken at {} requests, config asks for {}",
+                snapshot.requests, cfg.requests
+            ));
+        }
+        if snapshot.seed != cfg.seed {
+            return Err(format!(
+                "snapshot was taken with seed {}, config uses {}",
+                snapshot.seed, cfg.seed
+            ));
+        }
+        let expected = config_fingerprint(fleet, cfg);
+        if snapshot.fingerprint != expected {
+            return Err(format!(
+                "snapshot fingerprint {:016x} does not match this fleet/config ({expected:016x}) — \
+                 resume needs the exact original fleet, workload, policy, and fault scenario",
+                snapshot.fingerprint
+            ));
+        }
+        if snapshot.chips.len() != fleet.chips.len() {
+            return Err(format!(
+                "snapshot holds {} chip(s), fleet has {}",
+                snapshot.chips.len(),
+                fleet.chips.len()
+            ));
+        }
+        let classes = self.stream.classes();
         if classes.len() != snapshot.totals.classes.len() {
             return Err(format!(
                 "snapshot has {} request class(es), workload defines {}",
@@ -1000,66 +1014,39 @@ pub fn resume_checkpointed<F: FnMut(&SimSnapshot) -> bool>(
                 ));
             }
         }
-    }
-    // Fast-forward the stream past every arrival the snapshot consumed,
-    // then cross-check the regenerated lookahead.
-    for i in 0..snapshot.totals.offered {
-        if stream.next().is_none() {
-            return Err(format!(
-                "workload stream ended after {i} request(s) while replaying {} — \
-                 the workload does not match the snapshot",
-                snapshot.totals.offered
-            ));
+        // The fresh stream's lookahead is arrival 0: step past every
+        // arrival the snapshot consumed, then cross-check the next one.
+        for i in 0..snapshot.totals.offered {
+            if self.next_arrival.is_none() {
+                return Err(format!(
+                    "workload stream ended after {i} request(s) while replaying {} — \
+                     the workload does not match the snapshot",
+                    snapshot.totals.offered
+                ));
+            }
+            self.next_arrival = self.stream.next();
         }
-    }
-    let regenerated = stream.next();
-    if regenerated != snapshot.next_arrival {
-        return Err(
-            "replayed workload diverges from the snapshot's arrival lookahead — \
-             the workload or seed does not match"
-                .to_string(),
-        );
-    }
-    let ckpt = if every_s > 0.0 {
-        let grid_at = snapshot.checkpoints as f64 * every_s;
-        if grid_at.to_bits() != snapshot.at_s.to_bits() {
-            return Err(format!(
-                "checkpoint interval {} s is off the snapshot's grid (checkpoint {} at {} s) — \
-                 resume with the original --checkpoint-every",
-                every_s, snapshot.checkpoints, snapshot.at_s
-            ));
+        if self.next_arrival != snapshot.next_arrival {
+            return Err(
+                "replayed workload diverges from the snapshot's arrival lookahead — \
+                 the workload or seed does not match"
+                    .to_string(),
+            );
         }
-        Some(Checkpointer {
-            every_s,
-            emitted: snapshot.checkpoints,
-            on_checkpoint: &mut on_checkpoint,
-        })
-    } else {
-        None
-    };
-    let entries = snapshot
-        .events
-        .iter()
-        .map(|(time_bits, class, seq, kind)| {
-            (EventKey::new(*time_bits, *class, *seq), kind.clone())
-        })
-        .collect();
-    let obs = Obs::disabled();
-    let sim = Sim {
-        fleet,
-        cfg,
-        obs: &obs,
-        oracle: ServiceOracle::new(),
-        events: EventQueue::from_sorted(entries, snapshot.peak_event_queue),
-        seq: snapshot.seq,
-        queue: snapshot.queue.iter().cloned().collect(),
-        chips: snapshot.chips.clone(),
-        stream,
-        next_arrival: snapshot.next_arrival.clone(),
-        totals: snapshot.totals.clone(),
-        batch_buf: Vec::new(),
-    };
-    Ok(sim.run_checkpointed(ckpt))
+        let entries = snapshot
+            .events
+            .iter()
+            .map(|(time_bits, class, seq, kind)| {
+                (EventKey::new(*time_bits, *class, *seq), kind.clone())
+            })
+            .collect();
+        self.events = EventQueue::from_sorted(entries, snapshot.peak_event_queue);
+        self.seq = snapshot.seq;
+        self.queue = snapshot.queue.iter().cloned().collect();
+        self.chips = snapshot.chips.clone();
+        self.totals = snapshot.totals.clone();
+        Ok(())
+    }
 }
 
 /// `(track, label)` pairs for every track a traced serving run uses —
@@ -1090,12 +1077,20 @@ mod tests {
         FleetConfig::paper_pair()
     }
 
+    /// A completed run recorded into `obs`.
+    fn observed(fleet: &FleetConfig, cfg: &ServeConfig, obs: &Obs) -> ServiceReport {
+        match simulate_with(fleet, cfg, obs, None, None) {
+            Ok(ServeOutcome::Completed(report)) => *report,
+            other => panic!("run must complete: {other:?}"),
+        }
+    }
+
     #[test]
     fn observed_run_matches_plain_run_exactly() {
         let fleet = small_fleet();
         let cfg = ServeConfig::poisson(3000.0, 300, 42, 0);
         let obs = Obs::enabled();
-        let observed = simulate_observed(&fleet, &cfg, &obs);
+        let observed = observed(&fleet, &cfg, &obs);
         let plain = simulate(&fleet, &cfg);
         assert_eq!(observed, plain, "instrumentation must not change results");
         assert!(!obs.drain_events().is_empty());
@@ -1106,7 +1101,7 @@ mod tests {
         let fleet = small_fleet();
         let cfg = ServeConfig::poisson(3000.0, 300, 42, 0);
         let obs = Obs::enabled();
-        simulate_observed(&fleet, &cfg, &obs);
+        observed(&fleet, &cfg, &obs);
         let events = obs.drain_events();
         assert!(events.windows(2).all(|w| w[0].ts_s <= w[1].ts_s));
         // Every Begin has an End on its track, and depth never dips
@@ -1133,7 +1128,7 @@ mod tests {
         let digest = |wall: bool| {
             let obs = Obs::enabled();
             obs.set_wall_clock(wall);
-            simulate_observed(&fleet, &cfg, &obs);
+            observed(&fleet, &cfg, &obs);
             albireo_obs::events_digest(&obs.drain_events())
         };
         assert_eq!(digest(false), digest(false));
@@ -1146,7 +1141,7 @@ mod tests {
         let mut cfg = ServeConfig::poisson(50_000.0, 400, 5, 1);
         cfg.admission = AdmissionControl::bounded(16);
         let obs = Obs::enabled();
-        let report = simulate_observed(&fleet, &cfg, &obs);
+        let report = observed(&fleet, &cfg, &obs);
         let snap = obs.snapshot();
         let counter = |name: &str| {
             snap.counters
@@ -1700,10 +1695,17 @@ mod tests {
         let baseline = simulate(&fleet, &cfg);
         assert!(!baseline.alert_events.is_empty());
         let mut snaps: Vec<SimSnapshot> = Vec::new();
-        let out = simulate_checkpointed(&fleet, &cfg, 0.002, |s| {
-            snaps.push(s.clone());
-            true
-        });
+        let out = simulate_with(
+            &fleet,
+            &cfg,
+            &Obs::disabled(),
+            None,
+            Some((0.002, &mut |s: &SimSnapshot| {
+                snaps.push(s.clone());
+                true
+            })),
+        )
+        .unwrap();
         let ServeOutcome::Completed(full) = out else {
             panic!("run must complete");
         };
@@ -1718,7 +1720,7 @@ mod tests {
             assert!(text.contains("\nalerts "), "alert section present");
             let restored = SimSnapshot::parse(&text).unwrap();
             assert_eq!(&restored, snap, "alert state round-trips the wire");
-            let out = resume_checkpointed(&fleet, &cfg, &restored, 0.0, |_| true).unwrap();
+            let out = simulate_with(&fleet, &cfg, &Obs::disabled(), Some(&restored), None).unwrap();
             let ServeOutcome::Completed(resumed) = out else {
                 panic!("resume must complete");
             };
@@ -1732,10 +1734,17 @@ mod tests {
         let fleet = small_fleet();
         let cfg = ServeConfig::poisson(3000.0, 200, 42, 0);
         let mut snaps = Vec::new();
-        simulate_checkpointed(&fleet, &cfg, 0.01, |s| {
-            snaps.push(s.to_text());
-            true
-        });
+        simulate_with(
+            &fleet,
+            &cfg,
+            &Obs::disabled(),
+            None,
+            Some((0.01, &mut |s: &SimSnapshot| {
+                snaps.push(s.to_text());
+                true
+            })),
+        )
+        .unwrap();
         assert!(!snaps.is_empty());
         for text in &snaps {
             assert!(
@@ -1756,10 +1765,17 @@ mod tests {
         let baseline = simulate(&fleet, &cfg);
         let every = 0.01;
         let mut snaps: Vec<SimSnapshot> = Vec::new();
-        let out = simulate_checkpointed(&fleet, &cfg, every, |s| {
-            snaps.push(s.clone());
-            true
-        });
+        let out = simulate_with(
+            &fleet,
+            &cfg,
+            &Obs::disabled(),
+            None,
+            Some((every, &mut |s: &SimSnapshot| {
+                snaps.push(s.clone());
+                true
+            })),
+        )
+        .unwrap();
         let ServeOutcome::Completed(full) = out else {
             panic!("run must complete");
         };
@@ -1770,7 +1786,7 @@ mod tests {
             // checkpoints: byte-identical report, digest, and JSON.
             let restored = SimSnapshot::parse(&snap.to_text()).unwrap();
             assert_eq!(&restored, snap);
-            let out = resume_checkpointed(&fleet, &cfg, &restored, 0.0, |_| true).unwrap();
+            let out = simulate_with(&fleet, &cfg, &Obs::disabled(), Some(&restored), None).unwrap();
             let ServeOutcome::Completed(resumed) = out else {
                 panic!("resume must complete");
             };
@@ -1781,10 +1797,16 @@ mod tests {
         // Resuming on the original cadence replays the remaining
         // boundaries exactly.
         let mut tail: Vec<SimSnapshot> = Vec::new();
-        let out = resume_checkpointed(&fleet, &cfg, &snaps[0], every, |s| {
-            tail.push(s.clone());
-            true
-        })
+        let out = simulate_with(
+            &fleet,
+            &cfg,
+            &Obs::disabled(),
+            Some(&snaps[0]),
+            Some((every, &mut |s: &SimSnapshot| {
+                tail.push(s.clone());
+                true
+            })),
+        )
         .unwrap();
         assert!(matches!(out, ServeOutcome::Completed(_)));
         assert_eq!(tail, snaps[1..]);
@@ -1796,10 +1818,17 @@ mod tests {
         let cfg = ServeConfig::poisson(3000.0, 300, 7, 0);
         let baseline = simulate(&fleet, &cfg);
         let mut last = None;
-        let out = simulate_checkpointed(&fleet, &cfg, 0.02, |s| {
-            last = Some(s.clone());
-            s.checkpoints() < 2
-        });
+        let out = simulate_with(
+            &fleet,
+            &cfg,
+            &Obs::disabled(),
+            None,
+            Some((0.02, &mut |s: &SimSnapshot| {
+                last = Some(s.clone());
+                s.checkpoints() < 2
+            })),
+        )
+        .unwrap();
         let ServeOutcome::Halted { checkpoints, at_s } = out else {
             panic!("expected a halt");
         };
@@ -1808,7 +1837,14 @@ mod tests {
         let snap = last.unwrap();
         assert_eq!(snap.checkpoints(), 2);
         assert!(snap.offered() > 0 && snap.offered() < 300);
-        let out = resume_checkpointed(&fleet, &cfg, &snap, 0.02, |_| true).unwrap();
+        let out = simulate_with(
+            &fleet,
+            &cfg,
+            &Obs::disabled(),
+            Some(&snap),
+            Some((0.02, &mut |_: &SimSnapshot| true)),
+        )
+        .unwrap();
         let ServeOutcome::Completed(resumed) = out else {
             panic!("resume must complete");
         };
@@ -1820,24 +1856,53 @@ mod tests {
         let fleet = small_fleet();
         let cfg = ServeConfig::poisson(3000.0, 300, 42, 0);
         let mut snap = None;
-        let _ = simulate_checkpointed(&fleet, &cfg, 0.02, |s| {
-            snap = Some(s.clone());
-            false
-        });
+        let _ = simulate_with(
+            &fleet,
+            &cfg,
+            &Obs::disabled(),
+            None,
+            Some((0.02, &mut |s: &SimSnapshot| {
+                snap = Some(s.clone());
+                false
+            })),
+        )
+        .unwrap();
         let snap = snap.unwrap();
         let mut wrong_seed = cfg.clone();
         wrong_seed.seed = 43;
-        assert!(resume_checkpointed(&fleet, &wrong_seed, &snap, 0.0, |_| true).is_err());
+        assert!(simulate_with(&fleet, &wrong_seed, &Obs::disabled(), Some(&snap), None).is_err());
         let mut wrong_requests = cfg.clone();
         wrong_requests.requests = 400;
-        assert!(resume_checkpointed(&fleet, &wrong_requests, &snap, 0.0, |_| true).is_err());
+        assert!(
+            simulate_with(&fleet, &wrong_requests, &Obs::disabled(), Some(&snap), None).is_err()
+        );
         let mut wrong_policy = cfg.clone();
         wrong_policy.policy = BatchPolicy::SizeN { size: 4 };
-        let err = resume_checkpointed(&fleet, &wrong_policy, &snap, 0.0, |_| true).unwrap_err();
+        let err =
+            simulate_with(&fleet, &wrong_policy, &Obs::disabled(), Some(&snap), None).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
+        // A non-positive or non-finite interval is refused up front.
+        for every in [0.0, -0.01, f64::NAN, f64::INFINITY] {
+            let ckpt: Option<(f64, OnCheckpoint)> = Some((every, &mut |_| true));
+            assert!(simulate_with(&fleet, &cfg, &Obs::disabled(), None, ckpt).is_err());
+        }
         // An off-grid interval is refused; the original cadence works.
-        assert!(resume_checkpointed(&fleet, &cfg, &snap, 0.03, |_| true).is_err());
-        assert!(resume_checkpointed(&fleet, &cfg, &snap, 0.02, |_| true).is_ok());
+        assert!(simulate_with(
+            &fleet,
+            &cfg,
+            &Obs::disabled(),
+            Some(&snap),
+            Some((0.03, &mut |_: &SimSnapshot| true))
+        )
+        .is_err());
+        assert!(simulate_with(
+            &fleet,
+            &cfg,
+            &Obs::disabled(),
+            Some(&snap),
+            Some((0.02, &mut |_: &SimSnapshot| true))
+        )
+        .is_ok());
     }
 
     #[test]
@@ -1860,10 +1925,17 @@ mod tests {
             .compile(fleet.chips.len());
         let baseline = simulate(&fleet, &cfg);
         let mut snaps: Vec<SimSnapshot> = Vec::new();
-        let out = simulate_checkpointed(&fleet, &cfg, 0.005, |s| {
-            snaps.push(s.clone());
-            true
-        });
+        let out = simulate_with(
+            &fleet,
+            &cfg,
+            &Obs::disabled(),
+            None,
+            Some((0.005, &mut |s: &SimSnapshot| {
+                snaps.push(s.clone());
+                true
+            })),
+        )
+        .unwrap();
         let ServeOutcome::Completed(full) = out else {
             panic!("run must complete");
         };
@@ -1871,7 +1943,7 @@ mod tests {
         assert!(!snaps.is_empty());
         for snap in &snaps {
             let restored = SimSnapshot::parse(&snap.to_text()).unwrap();
-            let out = resume_checkpointed(&fleet, &cfg, &restored, 0.0, |_| true).unwrap();
+            let out = simulate_with(&fleet, &cfg, &Obs::disabled(), Some(&restored), None).unwrap();
             let ServeOutcome::Completed(resumed) = out else {
                 panic!("resume must complete");
             };

@@ -40,8 +40,8 @@ pub const SNAPSHOT_SCHEMA: &str = "albireo.snapshot/v1";
 
 /// A complete, serializable capture of an in-flight serving run at a
 /// checkpoint boundary. Produce one with
-/// [`crate::sim::simulate_checkpointed`]; turn it back into a running
-/// simulation with [`crate::sim::resume_checkpointed`].
+/// [`crate::sim::simulate_with`] at each checkpoint; pass it back as
+/// that function's `resume` argument to continue the run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSnapshot {
     /// FNV-1a over the fleet label and the full `ServeConfig` debug

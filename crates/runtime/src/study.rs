@@ -11,10 +11,11 @@
 use crate::fleet::FleetConfig;
 use crate::policy::{AdmissionControl, BatchPolicy};
 use crate::report::ServiceReport;
-use crate::sim::{simulate, ServeConfig};
+use crate::sim::{simulate, simulate_with, ServeConfig, ServeOutcome};
 use crate::workload::{ArrivalProcess, Workload};
 use albireo_core::report::json;
 use albireo_nn::zoo;
+use albireo_obs::Obs;
 use albireo_parallel::{split_seed, stream_id, Parallelism};
 
 /// Stream-id pass tag for serving replica seeds (shared by
@@ -24,20 +25,27 @@ pub const SERVE_PASS: u64 = 0xA1B;
 /// Runs `replicas` seeded copies of one configuration in parallel.
 ///
 /// Replica 0 uses `cfg.seed` itself (so a one-replica call reproduces the
-/// plain [`simulate`] run byte-for-byte); replica `r > 0` uses the
-/// derived seed `split_seed(cfg.seed, stream_id(SERVE_PASS, 0, r))`.
+/// plain [`simulate`] run byte-for-byte) and is the one run recorded
+/// into `obs`; replica `r > 0` uses the derived seed
+/// `split_seed(cfg.seed, stream_id(SERVE_PASS, 0, r))`.
 pub fn replicate(
     fleet: &FleetConfig,
     cfg: &ServeConfig,
     replicas: usize,
     par: Parallelism,
+    obs: &Obs,
 ) -> Vec<ServiceReport> {
+    let unobserved = Obs::disabled();
     par.map_indexed(replicas, |r| {
         let mut run = cfg.clone();
         if r > 0 {
             run.seed = split_seed(cfg.seed, stream_id(SERVE_PASS, 0, r as u64));
         }
-        simulate(fleet, &run)
+        let obs = if r == 0 { obs } else { &unobserved };
+        match simulate_with(fleet, &run, obs, None, None) {
+            Ok(ServeOutcome::Completed(report)) => *report,
+            _ => unreachable!("a fresh run without checkpoints neither fails nor halts"),
+        }
     })
 }
 
@@ -299,11 +307,24 @@ mod tests {
         let fleet = FleetConfig::paper_pair();
         let cfg = ServeConfig::poisson(2000.0, 100, 5, 0);
         let base = simulate(&fleet, &cfg);
-        let reps = replicate(&fleet, &cfg, 3, Parallelism::with_threads(4));
+        let reps = replicate(
+            &fleet,
+            &cfg,
+            3,
+            Parallelism::with_threads(4),
+            &Obs::disabled(),
+        );
         assert_eq!(reps.len(), 3);
         assert_eq!(reps[0], base, "replica 0 is the base run");
         assert_ne!(reps[1].digest(), reps[0].digest());
         assert_ne!(reps[2].digest(), reps[1].digest());
+        // An observer records replica 0 alone and changes no report.
+        let obs = Obs::enabled();
+        let observed = replicate(&fleet, &cfg, 3, Parallelism::with_threads(4), &obs);
+        assert_eq!(observed, reps);
+        let solo = Obs::enabled();
+        replicate(&fleet, &cfg, 1, Parallelism::serial(), &solo);
+        assert_eq!(obs.drain_events(), solo.drain_events());
     }
 
     #[test]

@@ -29,8 +29,14 @@
 //!   one object per line, `{"arrival_s": 0.0123}` with optional
 //!   `"network"` and `"class"` members overriding the mix/class draw.
 //!   Lines must be sorted by `arrival_s` (the reader streams; it cannot
-//!   sort), blank lines are skipped, and malformed lines panic with the
-//!   file/line coordinates.
+//!   sort) and blank lines are skipped. [`Workload::check_trace`] checks
+//!   a whole file up front and names the first bad line as `path:line`;
+//!   the stream itself panics on one.
+//!
+//! The four generated processes share one spec grammar,
+//! [`ArrivalProcess::parse`] and its inverse `Display`:
+//! `poisson | bursty:B:ON_S:OFF_S | diurnal:A:PERIOD_S |
+//! flash:SPIKE:AT_S:DECAY_S`, with the mean rate given separately.
 //!
 //! Requests optionally carry a **class** — a multi-tenant label drawn
 //! from [`Workload::classes`] ([`ClassSpec`]: name, traffic weight,
@@ -44,9 +50,11 @@
 //! function of `(spec, seed)` — independent of thread count, host, call
 //! site, or whether the stream is consumed lazily or collected.
 
+use albireo_obs::jsonv;
 use albireo_parallel::{split_seed, stream_id};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 
@@ -214,6 +222,125 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
+    /// Parses an arrival spec at mean rate `rate_rps`:
+    ///
+    /// ```text
+    /// poisson | bursty:<BURST>:<ON_S>:<OFF_S> | diurnal:<AMPLITUDE>:<PERIOD_S>
+    ///         | flash:<SPIKE>:<AT_S>:<DECAY_S>
+    /// ```
+    ///
+    /// Parameters are in the variants' units; the result passes
+    /// [`ArrivalProcess::validate`]. `Display` renders the same grammar
+    /// and `parse(x.to_string(), rate) == x` exactly. Traces are outside
+    /// the grammar: they carry data, not parameters.
+    pub fn parse(spec: &str, rate_rps: f64) -> Result<ArrivalProcess, String> {
+        let mut fields = spec.split(':');
+        let shape = fields.next().unwrap_or_default();
+        let mut field = |name: &str| -> Result<f64, String> {
+            fields
+                .next()
+                .ok_or_else(|| format!("arrival `{spec}` is missing its {name} field"))?
+                .parse::<f64>()
+                .map_err(|_| format!("bad {name} in arrival `{spec}`"))
+        };
+        let process = match shape {
+            "poisson" => ArrivalProcess::Poisson { rate_rps },
+            "bursty" => ArrivalProcess::Bursty {
+                rate_rps,
+                burst: field("burst")?,
+                on_s: field("on_s")?,
+                off_s: field("off_s")?,
+            },
+            "diurnal" => ArrivalProcess::Diurnal {
+                rate_rps,
+                amplitude: field("amplitude")?,
+                period_s: field("period_s")?,
+            },
+            "flash" => ArrivalProcess::FlashCrowd {
+                rate_rps,
+                spike: field("spike")?,
+                at_s: field("at_s")?,
+                decay_s: field("decay_s")?,
+            },
+            _ => {
+                return Err(format!(
+                    "unknown arrival `{spec}` (try: poisson, bursty:<BURST>:<ON_S>:<OFF_S>, \
+                     diurnal:<AMPLITUDE>:<PERIOD_S>, flash:<SPIKE>:<AT_S>:<DECAY_S>)"
+                ))
+            }
+        };
+        if fields.next().is_some() {
+            return Err(format!("too many fields in arrival `{spec}`"));
+        }
+        process
+            .validate()
+            .map_err(|e| format!("{e} in arrival `{spec}`"))?;
+        Ok(process)
+    }
+
+    /// The range checks every process must pass before it can generate
+    /// a stream: a positive finite rate, a burst or spike above 1,
+    /// positive finite phase lengths, period and decay, an amplitude in
+    /// `(0, 1]`, a finite non-negative spike onset, and finite
+    /// non-negative trace times. [`ArrivalProcess::parse`] and
+    /// [`Workload::stream`] both go through it.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let above_one = |x: f64| x.is_finite() && x > 1.0;
+        let rate = "arrival rate must be positive and finite";
+        let checks = match *self {
+            ArrivalProcess::Poisson { rate_rps } => vec![(positive(rate_rps), rate)],
+            ArrivalProcess::Bursty {
+                rate_rps,
+                burst,
+                on_s,
+                off_s,
+            } => vec![
+                (positive(rate_rps), rate),
+                (above_one(burst), "burst must be finite and exceed 1"),
+                (
+                    positive(on_s) && positive(off_s),
+                    "phase durations must be positive and finite",
+                ),
+            ],
+            ArrivalProcess::Diurnal {
+                rate_rps,
+                amplitude,
+                period_s,
+            } => vec![
+                (positive(rate_rps), rate),
+                (
+                    amplitude > 0.0 && amplitude <= 1.0,
+                    "amplitude must be in (0, 1]",
+                ),
+                (positive(period_s), "period must be positive and finite"),
+            ],
+            ArrivalProcess::FlashCrowd {
+                rate_rps,
+                spike,
+                at_s,
+                decay_s,
+            } => vec![
+                (positive(rate_rps), rate),
+                (above_one(spike), "spike must be finite and exceed 1"),
+                (
+                    at_s.is_finite() && at_s >= 0.0,
+                    "spike onset must be finite and non-negative",
+                ),
+                (positive(decay_s), "decay must be positive and finite"),
+            ],
+            ArrivalProcess::Trace { ref times_s } => vec![(
+                times_s.iter().all(|t| t.is_finite() && *t >= 0.0),
+                "trace times must be finite and non-negative",
+            )],
+            ArrivalProcess::TraceFile { .. } => Vec::new(),
+        };
+        match checks.into_iter().find(|&(ok, _)| !ok) {
+            Some((_, what)) => Err(what.to_string()),
+            None => Ok(()),
+        }
+    }
+
     /// The long-run mean arrival rate this process aims at, requests/s
     /// (for in-memory traces, the empirical rate over the trace span;
     /// for on-disk traces, 0.0 — unknown until replayed).
@@ -245,6 +372,34 @@ impl ArrivalProcess {
             ArrivalProcess::FlashCrowd { .. } => "flash",
             ArrivalProcess::Trace { .. } => "trace",
             ArrivalProcess::TraceFile { .. } => "trace_file",
+        }
+    }
+}
+
+impl fmt::Display for ArrivalProcess {
+    /// The canonical spec string [`ArrivalProcess::parse`] inverts
+    /// (floats via `{}`, so every bit round-trips; the rate is not part
+    /// of it). Traces render as `trace` and `trace_file:<PATH>`, which
+    /// `parse` rejects.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArrivalProcess::Poisson { .. } => write!(f, "poisson"),
+            ArrivalProcess::Bursty {
+                burst, on_s, off_s, ..
+            } => write!(f, "bursty:{burst}:{on_s}:{off_s}"),
+            ArrivalProcess::Diurnal {
+                amplitude,
+                period_s,
+                ..
+            } => write!(f, "diurnal:{amplitude}:{period_s}"),
+            ArrivalProcess::FlashCrowd {
+                spike,
+                at_s,
+                decay_s,
+                ..
+            } => write!(f, "flash:{spike}:{at_s}:{decay_s}"),
+            ArrivalProcess::Trace { .. } => write!(f, "trace"),
+            ArrivalProcess::TraceFile { path } => write!(f, "trace_file:{path}"),
         }
     }
 }
@@ -285,6 +440,9 @@ impl Workload {
     /// order, deterministically from `seed`, with O(1) generator state
     /// (plus the in-memory trace, if that process is used).
     pub fn stream(&self, n: usize, seed: u64) -> RequestStream {
+        if let Err(e) = self.process.validate() {
+            panic!("{e}");
+        }
         assert!(
             !self.mix.is_empty() && self.mix.iter().all(|&(_, w)| w >= 0.0),
             "network mix must be non-empty with non-negative weights"
@@ -297,88 +455,58 @@ impl Workload {
                 || (class_weight > 0.0 && self.classes.iter().all(|c| c.weight >= 0.0)),
             "class weights must be non-negative and not all 0"
         );
-        let source = match &self.process {
-            ArrivalProcess::Poisson { rate_rps } => {
-                assert!(*rate_rps > 0.0, "arrival rate must be positive");
-                Source::Poisson { rate: *rate_rps }
-            }
+        let source = match self.process {
+            ArrivalProcess::Poisson { rate_rps } => Source::Poisson { rate: rate_rps },
             ArrivalProcess::Bursty {
                 rate_rps,
                 burst,
                 on_s,
                 off_s,
             } => {
-                assert!(*rate_rps > 0.0, "arrival rate must be positive");
-                assert!(*burst > 1.0, "burst factor must exceed 1");
-                assert!(
-                    *on_s > 0.0 && *off_s > 0.0,
-                    "phase durations must be positive"
-                );
                 // Low rate chosen so the duty-cycle-weighted mean is rate_rps;
                 // clamped at a trickle so the off phase still terminates.
                 let period = on_s + off_s;
                 let low =
                     ((rate_rps * period - burst * rate_rps * on_s) / off_s).max(rate_rps * 1e-3);
                 Source::Bursty {
-                    rate: *rate_rps,
-                    burst: *burst,
-                    on_s: *on_s,
-                    off_s: *off_s,
+                    rate: rate_rps,
+                    burst,
+                    on_s,
+                    off_s,
                     low,
                     in_on: true,
-                    phase_end: *on_s,
+                    phase_end: on_s,
                 }
             }
             ArrivalProcess::Diurnal {
                 rate_rps,
                 amplitude,
                 period_s,
-            } => {
-                assert!(*rate_rps > 0.0, "arrival rate must be positive");
-                assert!(
-                    *amplitude > 0.0 && *amplitude <= 1.0,
-                    "diurnal amplitude must be in (0, 1]"
-                );
-                assert!(*period_s > 0.0, "diurnal period must be positive");
-                Source::Diurnal {
-                    rate: *rate_rps,
-                    amplitude: *amplitude,
-                    period_s: *period_s,
-                }
-            }
+            } => Source::Diurnal {
+                rate: rate_rps,
+                amplitude,
+                period_s,
+            },
             ArrivalProcess::FlashCrowd {
                 rate_rps,
                 spike,
                 at_s,
                 decay_s,
-            } => {
-                assert!(*rate_rps > 0.0, "arrival rate must be positive");
-                assert!(*spike > 1.0, "spike factor must exceed 1");
-                assert!(*at_s >= 0.0, "spike onset must be non-negative");
-                assert!(*decay_s > 0.0, "spike decay must be positive");
-                Source::Flash {
-                    rate: *rate_rps,
-                    spike: *spike,
-                    at_s: *at_s,
-                    decay_s: *decay_s,
-                }
-            }
-            ArrivalProcess::Trace { times_s } => {
+            } => Source::Flash {
+                rate: rate_rps,
+                spike,
+                at_s,
+                decay_s,
+            },
+            ArrivalProcess::Trace { ref times_s } => {
                 let mut t: Vec<f64> = times_s.iter().take(n).cloned().collect();
-                t.sort_by(|a, b| a.partial_cmp(b).expect("trace times must be finite"));
+                t.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
                 Source::Trace {
                     times: t.into_iter(),
                 }
             }
-            ArrivalProcess::TraceFile { path } => {
-                let file = File::open(path)
-                    .unwrap_or_else(|e| panic!("cannot open arrival trace {path}: {e}"));
-                Source::TraceFile {
-                    lines: BufReader::new(file).lines(),
-                    path: path.clone(),
-                    line_no: 0,
-                    last_bits: 0,
-                }
+            ArrivalProcess::TraceFile { ref path } => {
+                Source::TraceFile(TraceReader::open(path).unwrap_or_else(|e| panic!("{e}")))
             }
         };
         RequestStream {
@@ -402,6 +530,115 @@ impl Workload {
     /// order.
     pub fn generate(&self, n: usize, seed: u64) -> Vec<Request> {
         self.stream(n, seed).collect()
+    }
+
+    /// Checks every line of a [`ArrivalProcess::TraceFile`] trace in one
+    /// bounded-memory pass, before a run starts: `arrival_s` must be a
+    /// finite, non-negative number that never decreases, `network` (if
+    /// present) an integer in `0..models`, and `class` (if present) an
+    /// integer in `0..classes` — rejected when no classes are
+    /// configured. The first bad line is reported as `path:line:
+    /// reason`. Other processes have no file to check.
+    pub fn check_trace(&self, models: usize) -> Result<(), String> {
+        let ArrivalProcess::TraceFile { path } = &self.process else {
+            return Ok(());
+        };
+        let mut reader = TraceReader::open(path)?;
+        while let Some(line) = reader.next_line(models, self.classes.len()) {
+            line?;
+        }
+        Ok(())
+    }
+}
+
+/// One checked trace line: the arrival instant plus the optional
+/// network and class overrides.
+type TraceLine = (f64, Option<usize>, Option<usize>);
+
+/// Line-at-a-time reader of a JSONL arrival trace — the one parser
+/// behind both the lazy stream and [`Workload::check_trace`].
+#[derive(Debug)]
+struct TraceReader {
+    lines: std::io::Lines<BufReader<File>>,
+    path: String,
+    line_no: usize,
+    last_s: f64,
+}
+
+impl TraceReader {
+    fn open(path: &str) -> Result<TraceReader, String> {
+        let file =
+            File::open(path).map_err(|e| format!("cannot open arrival trace {path}: {e}"))?;
+        Ok(TraceReader {
+            lines: BufReader::new(file).lines(),
+            path: path.to_string(),
+            line_no: 0,
+            last_s: 0.0,
+        })
+    }
+
+    /// The next non-blank line, checked against the rules on
+    /// [`Workload::check_trace`]; errors carry `path:line`.
+    fn next_line(&mut self, models: usize, classes: usize) -> Option<Result<TraceLine, String>> {
+        loop {
+            let line = match self.lines.next()? {
+                Ok(line) => line,
+                Err(e) => return Some(Err(format!("{}: read error: {e}", self.path))),
+            };
+            self.line_no += 1;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let checked = self.check_line(&line, models, classes);
+            return Some(checked.map_err(|e| format!("{}:{}: {e}", self.path, self.line_no)));
+        }
+    }
+
+    fn check_line(
+        &mut self,
+        line: &str,
+        models: usize,
+        classes: usize,
+    ) -> Result<TraceLine, String> {
+        let value = jsonv::parse(line).map_err(|e| e.to_string())?;
+        if value.as_obj().is_none() {
+            return Err("a trace line must be a JSON object".to_string());
+        }
+        let t = value
+            .get("arrival_s")
+            .ok_or("missing \"arrival_s\"")?
+            .as_f64()
+            .ok_or("\"arrival_s\" must be a number")?;
+        if !(t.is_finite() && t.is_sign_positive()) {
+            return Err(format!("arrival_s {t} must be finite and non-negative"));
+        }
+        if t < self.last_s {
+            return Err(format!(
+                "arrival_s {t} is before the previous line's {}: the trace must be sorted by \
+                 arrival_s (bounded-memory replay cannot sort)",
+                self.last_s
+            ));
+        }
+        self.last_s = t;
+        if classes == 0 && value.get("class").is_some() {
+            return Err("\"class\" given but no request classes are configured".to_string());
+        }
+        Ok((
+            t,
+            index_member(&value, "network", models)?,
+            index_member(&value, "class", classes)?,
+        ))
+    }
+}
+
+/// Member `key` of a trace line as an index in `0..bound`, if present.
+fn index_member(value: &jsonv::Value, key: &str, bound: usize) -> Result<Option<usize>, String> {
+    let Some(v) = value.get(key) else {
+        return Ok(None);
+    };
+    match v.as_f64() {
+        Some(x) if x >= 0.0 && x.fract() == 0.0 && x < bound as f64 => Ok(Some(x as usize)),
+        _ => Err(format!("\"{key}\" must be an integer in 0..{bound}")),
     }
 }
 
@@ -434,12 +671,7 @@ enum Source {
     Trace {
         times: std::vec::IntoIter<f64>,
     },
-    TraceFile {
-        lines: std::io::Lines<BufReader<File>>,
-        path: String,
-        line_no: usize,
-        last_bits: u64,
-    },
+    TraceFile(TraceReader),
 }
 
 /// The lazy arrival iterator [`Workload::stream`] returns: O(1) state,
@@ -548,39 +780,11 @@ impl RequestStream {
                 }
             },
             Source::Trace { times } => times.next().map(|t| (t, None, None)),
-            Source::TraceFile {
-                lines,
-                path,
-                line_no,
-                last_bits,
-            } => loop {
-                let line = match lines.next() {
-                    None => return None,
-                    Some(Ok(line)) => line,
-                    Some(Err(e)) => panic!("read error in arrival trace {path}: {e}"),
-                };
-                *line_no += 1;
-                let s = line.trim();
-                if s.is_empty() {
-                    continue;
-                }
-                let t = json_number(s, "arrival_s").unwrap_or_else(|| {
-                    panic!("{path}:{line_no}: missing or malformed \"arrival_s\"")
-                });
-                assert!(
-                    t.is_finite() && t >= 0.0,
-                    "{path}:{line_no}: arrival_s must be finite and non-negative"
-                );
-                assert!(
-                    t.to_bits() >= *last_bits,
-                    "{path}:{line_no}: trace must be sorted by arrival_s \
-                     (bounded-memory replay cannot sort)"
-                );
-                *last_bits = t.to_bits();
-                let network = json_number(s, "network").map(|v| v as usize);
-                let class = json_number(s, "class").map(|v| v as usize);
-                return Some((t, network, class));
-            },
+            // The stream knows no model table: network overrides are
+            // bounded by the fleet when the simulator pulls them.
+            Source::TraceFile(reader) => reader
+                .next_line(usize::MAX, self.classes.len())
+                .map(|line| line.unwrap_or_else(|e| panic!("{e}"))),
         }
     }
 }
@@ -638,20 +842,6 @@ fn pick_class(rng: &mut StdRng, classes: &[ClassSpec], total_weight: f64) -> usi
         u -= c.weight;
     }
     classes.len() - 1
-}
-
-/// Extracts `"key": <number>` from a single-line JSON object without a
-/// JSON parser dependency. Returns `None` when the key is absent or the
-/// value is not a bare number.
-fn json_number(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = line.find(&needle)?;
-    let rest = line[at + needle.len()..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
-        .unwrap_or(rest.len());
-    rest[..end].parse::<f64>().ok()
 }
 
 /// One exponential interarrival gap at `rate` (inverse-CDF sampling).
@@ -955,6 +1145,48 @@ mod tests {
         let result = std::panic::catch_unwind(|| w.generate(10, 0));
         std::fs::remove_file(&path).ok();
         std::panic::resume_unwind(result.unwrap_err());
+    }
+
+    #[test]
+    fn trace_check_and_stream_share_one_line_parser() {
+        let path = std::env::temp_dir().join(format!(
+            "albireo_trace_check_{}_{:?}.jsonl",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let w = |classes: Vec<ClassSpec>| Workload {
+            process: ArrivalProcess::TraceFile {
+                path: path.to_string_lossy().into_owned(),
+            },
+            mix: vec![(0, 1.0)],
+            classes,
+        };
+        let two = || {
+            vec![
+                ClassSpec::best_effort("a", 1.0),
+                ClassSpec::best_effort("b", 1.0),
+            ]
+        };
+        std::fs::write(
+            &path,
+            "{\"arrival_s\": 0.1, \"network\": 1, \"class\": 1}\n",
+        )
+        .unwrap();
+        assert_eq!(w(two()).check_trace(2), Ok(()));
+        let err = w(two()).check_trace(1).unwrap_err();
+        assert!(
+            err.ends_with(":1: \"network\" must be an integer in 0..1"),
+            "{err}"
+        );
+        let err = w(Vec::new()).check_trace(2).unwrap_err();
+        assert!(err.contains("no request classes are configured"), "{err}");
+        // The stream rejects the same line with the same words.
+        let panic = std::panic::catch_unwind(|| w(Vec::new()).generate(1, 0)).unwrap_err();
+        let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert_eq!(msg, err);
+        // Non-trace processes have no file to check.
+        assert_eq!(Workload::poisson(10.0, 0).check_trace(0), Ok(()));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
