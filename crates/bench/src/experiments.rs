@@ -9,6 +9,7 @@ use albireo_core::energy::NetworkEvaluation;
 use albireo_core::power::PowerBreakdown;
 use albireo_core::report::{format_ratio, format_table, format_watts};
 use albireo_nn::{zoo, Model};
+use albireo_parallel::Parallelism;
 use albireo_photonics::mrr::Microring;
 use albireo_photonics::precision::{fig3_noise_sweep, fig4c_crosstalk_sweep, PrecisionModel};
 use albireo_photonics::OpticalParams;
@@ -1307,10 +1308,10 @@ pub fn golden_modes_metrics_csv() -> String {
 /// through the parallel evaluation engine. `tests/golden_values.rs` pins
 /// the model against the committed copy in `results/`.
 pub fn golden_network_metrics_csv() -> String {
-    use albireo_core::engine::{paper_grid, EvalEngine};
+    use albireo_core::engine::{evaluate_grid, paper_grid};
     use albireo_core::report::to_csv;
     let (chips, estimates, models) = paper_grid();
-    let grid = EvalEngine::default().evaluate_grid(&chips, &estimates, &models);
+    let grid = evaluate_grid(Parallelism::default(), &chips, &estimates, &models);
     let rows: Vec<Vec<String>> = grid
         .iter()
         .map(|g| {
@@ -1451,47 +1452,55 @@ pub fn inference_fidelity() -> String {
         ),
     ];
 
-    let mut rows = Vec::new();
-    for (label, cfg) in configs {
+    // Every (configuration, network) pair is independent: a fresh engine
+    // and a fresh RNG each, so the pairs are the one fan-out and the
+    // analog convolutions inside them run inline on their worker.
+    let agreements = Parallelism::default().map_indexed(configs.len() * nets, |i| {
+        let cfg = configs[i / nets].1;
+        let mut rng = StdRng::seed_from_u64(9000 + (i % nets) as u64);
+        let c1 = Tensor4::random_gaussian(4, 1, 3, 3, 0.4, &mut rng);
+        let c2 = Tensor4::random_gaussian(6, 4, 3, 3, 0.3, &mut rng);
+        let fc: Vec<Vec<f64>> = (0..5)
+            .map(|_| {
+                (0..54)
+                    .map(|_| {
+                        use rand::Rng;
+                        0.3 * (rng.random::<f64>() - 0.5)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut engine = AnalogEngine::new(&chip, cfg);
         let mut agree = 0usize;
-        let mut total = 0usize;
-        for net_seed in 0..nets as u64 {
-            let mut rng = StdRng::seed_from_u64(9000 + net_seed);
-            let c1 = Tensor4::random_gaussian(4, 1, 3, 3, 0.4, &mut rng);
-            let c2 = Tensor4::random_gaussian(6, 4, 3, 3, 0.3, &mut rng);
-            let fc: Vec<Vec<f64>> = (0..5)
-                .map(|_| {
-                    (0..54)
-                        .map(|_| {
-                            use rand::Rng;
-                            0.3 * (rng.random::<f64>() - 0.5)
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut engine = AnalogEngine::new(&chip, cfg);
-            for _ in 0..inputs_per_net {
-                let im = Tensor3::random_uniform(1, 12, 12, 0.0, 1.0, &mut rng);
-                let dig = digital_forward(&c1, &c2, &fc, &im);
-                let mut x = engine.conv2d(&im, &c1, &ConvSpec::unit());
-                x.relu_inplace();
-                let x = max_pool(&x, 2, 2);
-                let mut x = engine.conv2d(&x, &c2, &ConvSpec::unit());
-                x.relu_inplace();
-                let flat = x.flatten();
-                let ana: Vec<f64> = fc.iter().map(|row| engine.dot(&flat, row)).collect();
-                if argmax(&ana) == argmax(&dig) {
-                    agree += 1;
-                }
-                total += 1;
+        for _ in 0..inputs_per_net {
+            let im = Tensor3::random_uniform(1, 12, 12, 0.0, 1.0, &mut rng);
+            let dig = digital_forward(&c1, &c2, &fc, &im);
+            let mut x = engine.conv2d(&im, &c1, &ConvSpec::unit());
+            x.relu_inplace();
+            let x = max_pool(&x, 2, 2);
+            let mut x = engine.conv2d(&x, &c2, &ConvSpec::unit());
+            x.relu_inplace();
+            let flat = x.flatten();
+            let ana: Vec<f64> = fc.iter().map(|row| engine.dot(&flat, row)).collect();
+            if argmax(&ana) == argmax(&dig) {
+                agree += 1;
             }
         }
-        rows.push(vec![
-            label.to_string(),
-            format!("{agree}/{total}"),
-            format!("{:.1}%", 100.0 * agree as f64 / total as f64),
-        ]);
-    }
+        agree
+    });
+    let total = nets * inputs_per_net;
+    let rows: Vec<Vec<String>> = configs
+        .iter()
+        .zip(agreements.chunks(nets))
+        .map(|((label, _), per_net)| {
+            let agree: usize = per_net.iter().sum();
+            vec![
+                label.to_string(),
+                format!("{agree}/{total}"),
+                format!("{:.1}%", 100.0 * agree as f64 / total as f64),
+            ]
+        })
+        .collect();
     let mut out =
         String::from("Inference fidelity: analog vs digital decisions over random tiny CNNs\n\n");
     out.push_str(&format_table(

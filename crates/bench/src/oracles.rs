@@ -60,7 +60,8 @@ impl Checklist {
         }
     }
 
-    fn check(&mut self, name: &str, paper: &str, measured: String, ok: bool) {
+    /// One line: `expected` names its source (`paper …` or `pinned …`).
+    fn check(&mut self, name: &str, expected: &str, measured: String, ok: bool) {
         let status = if ok {
             self.passed += 1;
             "PASS"
@@ -69,21 +70,34 @@ impl Checklist {
             "FAIL"
         };
         self.out.push_str(&format!(
-            "[{status}] {name}: paper {paper}, measured {measured}\n"
+            "[{status}] {name}: {expected}, measured {measured}\n"
         ));
     }
 
+    /// A relative check against a number the paper reports.
     fn within(&mut self, name: &str, paper_value: f64, measured: f64, rel_tol: f64, unit: &str) {
+        self.within_source(name, "paper", paper_value, measured, rel_tol, unit);
+    }
+
+    fn within_source(
+        &mut self,
+        name: &str,
+        source: &str,
+        value: f64,
+        measured: f64,
+        rel_tol: f64,
+        unit: &str,
+    ) {
         let rel_tol = rel_tol * self.tol_scale;
-        let rel_err = (measured - paper_value).abs() / paper_value.abs();
+        let rel_err = (measured - value).abs() / value.abs();
         self.metrics
             .gauge(&format!("oracle.{}.rel_error", metric_slug(name)))
             .set(rel_err);
         let ok = rel_err <= rel_tol;
         self.check(
             name,
-            &format!("{paper_value} {unit}"),
-            format!("{measured:.4} {unit} (tol {:.0}%)", rel_tol * 100.0),
+            &format!("{source} {value} {unit}"),
+            format!("{measured:.4} {unit} (tol {:.1}%)", rel_tol * 100.0),
             ok,
         );
     }
@@ -100,13 +114,16 @@ pub fn validate_oracles(tol_scale: f64) -> OracleReport {
     let ring = Microring::from_params(&params);
     let model = PrecisionModel::paper();
 
+    // Tolerances are the measured error plus a stated margin, so drift
+    // trips a check long before the model leaves the paper's ballpark.
     // Device physics.
     list.within("Table II FSR", 16.1, ring.fsr() * 1e9, 0.03, "nm");
+    // Measured error 2.6%; margin 2.4 points.
     list.within(
         "Fig. 3: bits @ 2 mW / 20 λ",
         10.0,
         model.noise_limited_bits(20, 2e-3),
-        0.10,
+        0.05,
         "bits",
     );
     list.within(
@@ -130,11 +147,16 @@ pub fn validate_oracles(tol_scale: f64) -> OracleReport {
     let inv = DeviceInventory::for_chip(&chip);
     list.check(
         "§V: DAC count",
-        "306",
+        "paper 306",
         inv.dacs.to_string(),
         inv.dacs == 306,
     );
-    list.check("§V: TIA count", "45", inv.tias.to_string(), inv.tias == 45);
+    list.check(
+        "§V: TIA count",
+        "paper 45",
+        inv.tias.to_string(),
+        inv.tias == 45,
+    );
 
     // Power.
     for (estimate, paper_w) in [
@@ -173,31 +195,53 @@ pub fn validate_oracles(tol_scale: f64) -> OracleReport {
         "",
     );
 
-    // Performance.
+    // Performance. VGG16 latency and energy: measured error 12.9% each,
+    // margin 2.1 points.
     let vgg_c = NetworkEvaluation::evaluate(&chip, TechnologyEstimate::Conservative, &zoo::vgg16());
     list.within(
         "Table IV VGG16 latency (C)",
         2.55,
         vgg_c.latency_s * 1e3,
-        0.35,
+        0.15,
         "ms",
     );
     list.within(
         "Table IV VGG16 energy (C)",
         58.1,
         vgg_c.energy_j * 1e3,
-        0.35,
+        0.15,
         "mJ",
     );
+    // AlexNet: measured error 58.3% with the stride penalty, margin 2.7
+    // points. The paper does not state its stride treatment, so both
+    // variants are pinned to the reproduction's own values (EXPERIMENTS.md,
+    // Table IV) within 0.5%.
     let alex_c =
         NetworkEvaluation::evaluate(&chip, TechnologyEstimate::Conservative, &zoo::alexnet());
     list.within(
         "Table IV AlexNet latency (C)",
         0.13,
         alex_c.latency_s * 1e3,
-        1.0,
+        0.61,
         "ms",
     );
+    for (variant, penalty, pinned_ms) in [("", true, 0.206), ("no ", false, 0.177)] {
+        let chip = ChipConfig {
+            model_stride_penalty: penalty,
+            ..chip
+        };
+        let alex =
+            NetworkEvaluation::evaluate(&chip, TechnologyEstimate::Conservative, &zoo::alexnet());
+        let name = format!("AlexNet latency (C), {variant}stride penalty");
+        list.within_source(
+            &name,
+            "pinned",
+            pinned_ms,
+            alex.latency_s * 1e3,
+            0.005,
+            "ms",
+        );
+    }
 
     // Comparisons: orderings.
     let pixel = Pixel::paper_60w();
@@ -212,7 +256,7 @@ pub fn validate_oracles(tol_scale: f64) -> OracleReport {
     }
     list.check(
         "Fig. 8 ordering (PIXEL > DEAP-CNN > Albireo-27)",
-        "holds",
+        "paper holds",
         if ordering_ok { "holds" } else { "violated" }.into(),
         ordering_ok,
     );
@@ -226,7 +270,7 @@ pub fn validate_oracles(tol_scale: f64) -> OracleReport {
     }
     list.check(
         "Table IV: Albireo-C beats every electronic latency",
-        "yes",
+        "paper yes",
         if beats_all { "yes" } else { "no" }.into(),
         beats_all,
     );

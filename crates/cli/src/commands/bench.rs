@@ -115,13 +115,13 @@ fn paths(args: &Args) -> (&Path, &Path) {
 
 fn serving(args: &Args) -> Result<String, CliError> {
     let (dir, json) = paths(args);
-    albireo_bench::serving_bench::run_serving_bench(dir, json, Parallelism::global())
+    albireo_bench::serving_bench::run_serving_bench(dir, json, Parallelism::default())
         .map_err(|e| CliError::Io(format!("cannot write the serving study: {e}")))
 }
 
 fn plan(args: &Args) -> Result<String, CliError> {
     let (dir, json) = paths(args);
-    albireo_bench::plan_bench::run_plan_bench(dir, json, Parallelism::global())
+    albireo_bench::plan_bench::run_plan_bench(dir, json, Parallelism::default())
         .map_err(|e| CliError::Io(format!("cannot write the plan study: {e}")))
 }
 

@@ -8,7 +8,6 @@ use super::{
 use crate::args::{flag, Args, Flag, Kind};
 use albireo_core::energy::NetworkEvaluation;
 use albireo_core::report::{format_joules, format_seconds, format_table, format_watts};
-use albireo_parallel::Parallelism;
 
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
@@ -30,8 +29,7 @@ fn run(args: &Args) -> Result<String, CliError> {
     let mut chip = chip_from(args);
     chip.model_stride_penalty = !args.flag("no-stride-penalty");
     let obs = trace_obs(args);
-    let eval =
-        NetworkEvaluation::evaluate_observed(&chip, estimate, &model, Parallelism::default(), &obs);
+    let eval = NetworkEvaluation::evaluate_observed(&chip, estimate, &model, &obs);
     let mut out = format!(
         "{} on Albireo-{} (Ng={}):\n  latency {}  energy {}  EDP {:.3} mJ·ms\n  power {}  {:.0} GOPS  {:.1} GOPS/mm² ({:.0} active)  utilization {:.1}%\n",
         eval.network,

@@ -601,7 +601,7 @@ pub(crate) mod tests {
     #[test]
     fn threads_option_sets_global_parallelism() {
         cli("networks --threads 3").unwrap();
-        assert_eq!(Parallelism::global().resolved_threads(), 3);
+        assert_eq!(Parallelism::default().resolved_threads(), 3);
         Parallelism::set_global(Parallelism::auto());
         let err = cli("networks --threads many").unwrap_err();
         assert!(err.to_string().contains("many"));
@@ -625,10 +625,10 @@ pub(crate) mod tests {
             "{report}"
         );
         assert!(report.contains("\"attributed_fraction\""), "{report}");
-        // The analytic evaluate path runs through the instrumented
-        // parallel fan-out (tensor/photonics phases belong to the
-        // numeric bench workloads, not this command).
-        assert!(report.contains("parallel."), "{report}");
+        // The analytic evaluate path is one serial cost evaluation
+        // (tensor/photonics phases belong to the numeric bench
+        // workloads, not this command).
+        assert!(report.contains("\"core.evaluate\""), "{report}");
         // Profiling never changes the command's own output.
         let plain = cli("evaluate tiny --threads 2").unwrap();
         assert_eq!(out, plain);

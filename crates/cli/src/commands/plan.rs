@@ -127,7 +127,7 @@ fn run(args: &Args) -> Result<String, CliError> {
 
     let report = albireo_plan::plan(
         &spec,
-        Parallelism::global(),
+        Parallelism::default(),
         &Obs::disabled(),
         args.flag("exhaustive"),
     )

@@ -21,7 +21,7 @@ const FLAGS: &[Flag] = &[
     flag("fleet", Kind::Str("SPEC"), "chips, [alias=]kind[:C|M|A],..").or("albireo_9:C,albireo_27:C"),
     flag("policy", Kind::Str("SPEC"), "immediate | size:N | deadline:USEC[:MAX] | deadline_s:S:MAX").or("immediate"),
     flag("autoscale", Kind::Str("SPEC"), "none | static | elastic:UP:WARM[:MIN]").or("none"),
-    flag("trace-jsonl", FILE, "replay arrivals from a JSONL trace instead of --arrival"),
+    flag("trace-jsonl", FILE, "replay arrivals from a JSONL trace instead of --arrival and --rate"),
     flag("slo", POSITIVE, "default latency SLO, ms (alone: one `default` class)"),
     flag("slo-target", Kind::Float(Range::between(0.0, false, 1.0, true)), "burn-rate alert objective").or("0.999"),
     flag("json", Kind::Bool, "emit the JSON report"),
@@ -63,6 +63,15 @@ pub(super) fn chip_kinds() -> String {
     .to_string()
 }
 
+/// Parses the bytes of the `--resume` snapshot at `path`: any content
+/// that is not a valid snapshot (cut short, edited, not UTF-8) is a typed
+/// usage error.
+fn parse_snapshot(path: &str, bytes: &[u8]) -> Result<SimSnapshot, CliError> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|e| CliError::Unknown(format!("{path}: not a snapshot: {e}")))?;
+    SimSnapshot::parse(text).map_err(|e| CliError::Unknown(format!("{path}: {e}")))
+}
+
 fn run(args: &Args) -> Result<String, CliError> {
     let replicas = args.get::<usize>("replicas");
 
@@ -94,10 +103,15 @@ fn run(args: &Args) -> Result<String, CliError> {
 
     let process = match args.str("trace-jsonl") {
         Some(path) => {
-            if args.given("arrival").is_some() {
-                return Err(ArgError::Conflict(
-                    "--trace-jsonl replays recorded arrivals; drop --arrival".into(),
-                )
+            // The trace's timestamps are the arrivals: a shape or a rate
+            // beside it would be silently ignored.
+            if let Some(shaping) = ["arrival", "rate"]
+                .into_iter()
+                .find(|f| args.given(f).is_some())
+            {
+                return Err(ArgError::Conflict(format!(
+                    "--trace-jsonl replays recorded arrivals; drop --{shaping}"
+                ))
                 .into());
             }
             let meta = std::fs::metadata(path)
@@ -126,9 +140,12 @@ fn run(args: &Args) -> Result<String, CliError> {
     let autoscale = AutoscalePolicy::parse(args.str("autoscale").unwrap_or_default())
         .map_err(CliError::Unknown)?;
     let faults = match args.str("faults") {
-        Some(spec) => FaultSpec::parse(spec)
-            .map_err(CliError::Unknown)?
-            .compile(fleet.chips.len()),
+        Some(spec) => {
+            let spec = FaultSpec::parse(spec).map_err(CliError::Unknown)?;
+            spec.check_fleet(fleet.chips.len())
+                .map_err(|e| CliError::Unknown(format!("--faults: {e}")))?;
+            spec.compile(fleet.chips.len())
+        }
         None => FaultScenario::none(),
     };
 
@@ -215,9 +232,9 @@ fn run(args: &Args) -> Result<String, CliError> {
         // the log from the top.
         let resume_snapshot = match resume_path {
             Some(path) => {
-                let text = std::fs::read_to_string(path)
+                let bytes = std::fs::read(path)
                     .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-                Some(SimSnapshot::parse(&text).map_err(CliError::Unknown)?)
+                Some(parse_snapshot(path, &bytes)?)
             }
             None => None,
         };
@@ -425,6 +442,17 @@ mod tests {
         assert!(serve("--rate 0").is_err());
         assert!(serve("--faults fail:0").is_err());
         assert!(serve("--faults degrade:0@0.1:0").is_err());
+        // A clause past the 2-chip default fleet would fault nothing, and
+        // an empty fleet entry would add no chip: both are typed errors.
+        for (line, needle) in [
+            ("--faults fail:99@0.01", "names no chip"),
+            ("--faults rack:5-9@0.01", "names no chip"),
+            ("--fleet albireo_9:C,,albireo_27:C", "empty entry"),
+        ] {
+            let err = serve(line).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{line}: {err}");
+            assert!(err.to_string().contains(needle), "{line}: {err}");
+        }
         assert!(serve("--arrival fractal").is_err());
         for shape in [
             "diurnal:1.5:1",
@@ -500,9 +528,14 @@ mod tests {
         .unwrap();
         let path_s = path.to_str().unwrap().to_string();
         let out = serve(&format!("--trace-jsonl {path_s} --requests 3 --json")).unwrap();
+        // The trace sets the arrival times, so a rate beside it is a
+        // conflict, not a silently ignored flag.
+        let err = serve(&format!("--trace-jsonl {path_s} --requests 3 --rate 9999")).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(out.contains("\"offered\": 3"), "{out}");
         assert!(out.contains("trace_file"), "{out}");
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("drop --rate"), "{err}");
     }
     #[test]
     fn serve_trace_jsonl_checks_every_line_before_the_run() {
@@ -759,5 +792,80 @@ mod tests {
             "{series}"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A valid `albireo.snapshot/v1` from a run with faults, classes and
+    /// alerts, so every section of the format is present; made once.
+    fn valid_snapshot() -> &'static [u8] {
+        static SNAPSHOT: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        SNAPSHOT.get_or_init(|| {
+            let path = temp_path("serve_damage_base.snapshot");
+            serve(&format!(
+                "{DAMAGE_RUN} --checkpoint-every 0.01 --checkpoint-out {} \
+                 --halt-after-checkpoints 2",
+                path.display()
+            ))
+            .unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            bytes
+        })
+    }
+
+    const DAMAGE_RUN: &str = "--requests 400 --rate 60000 --seed 7 --queue-cap 16 \
+                              --faults fail:1@0.001 --classes vip:3:5,batch:1";
+
+    /// Resumes from `bytes`: the error a damaged snapshot must give.
+    fn resume_error(bytes: &[u8]) -> CliError {
+        match super::parse_snapshot("damaged.snapshot", bytes) {
+            Ok(_) => panic!("a damaged snapshot was accepted"),
+            Err(err) => err,
+        }
+    }
+
+    #[test]
+    fn every_cut_of_a_snapshot_resumes_to_a_typed_error() {
+        let valid = valid_snapshot();
+        assert!(super::parse_snapshot("valid.snapshot", valid).is_ok());
+        for cut in 0..valid.len() {
+            let err = resume_error(&valid[..cut]);
+            assert_eq!(err.exit_code(), 2, "cut at {cut}: {err}");
+        }
+        // End to end: the damaged file on disk exits 2 through `serve`.
+        let path = temp_path("serve_cut.snapshot");
+        std::fs::write(&path, &valid[..valid.len() - 1]).unwrap();
+        let err = serve(&format!("{DAMAGE_RUN} --resume {}", path.display())).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("newline"), "{err}");
+    }
+
+    #[test]
+    fn every_case_flip_of_a_snapshot_resumes_to_a_typed_error() {
+        // Flipping bit 5 turns hex digits `a-f` into `A-F`, the edit a
+        // numeric digest comparison would have forgiven.
+        let valid = valid_snapshot();
+        for pos in 0..valid.len() {
+            let mut edited = valid.to_vec();
+            edited[pos] ^= 0x20;
+            let err = resume_error(&edited);
+            assert_eq!(err.exit_code(), 2, "flip at {pos}: {err}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Any single-byte edit that changes a byte, UTF-8 or not.
+        #[test]
+        fn single_byte_edits_of_a_snapshot_resume_to_typed_errors(
+            at in 0.0f64..1.0,
+            byte in 0u8..=255,
+        ) {
+            let valid = valid_snapshot();
+            let pos = ((at * valid.len() as f64) as usize).min(valid.len() - 1);
+            proptest::prop_assume!(valid[pos] != byte);
+            let mut edited = valid.to_vec();
+            edited[pos] = byte;
+            proptest::prop_assert_eq!(resume_error(&edited).exit_code(), 2);
+        }
     }
 }

@@ -30,7 +30,7 @@ fn healthy_checklist_exits_zero() {
     );
     assert!(stdout.contains("PASS"));
     assert!(stdout.contains(", 0 failed"), "{stdout}");
-    assert!(stdout.contains("18 passed, 0 failed"), "{stdout}");
+    assert!(stdout.contains("20 passed, 0 failed"), "{stdout}");
     assert!(!stdout.contains("[FAIL]"), "{stdout}");
 }
 

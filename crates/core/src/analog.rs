@@ -272,11 +272,6 @@ impl AnalogEngine {
         self
     }
 
-    /// The current parallel execution policy.
-    pub fn parallelism(&self) -> Parallelism {
-        self.par
-    }
-
     /// The per-work-item noise generator for pass `pass`, kernel `m`,
     /// output row `yb`. Derived purely from the configured seed and the
     /// item's logical coordinates, so the stream an item draws from is

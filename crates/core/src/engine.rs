@@ -1,17 +1,14 @@
-//! The parallel evaluation engine: deterministic fan-out of the paper's
-//! evaluation grid.
+//! The evaluation grid: deterministic fan-out of the paper's
+//! (chip × technology estimate × network) sweep.
 //!
-//! Every result table in the paper is a sweep over
-//! (chip × technology estimate × network); this module turns that grid
-//! into independent work items executed under a [`Parallelism`] policy.
+//! Every result table in the paper is a sweep over that grid. Each grid
+//! point is one [`NetworkEvaluation`], microseconds of closed-form
+//! arithmetic that runs serially, so the grid itself is the fan-out:
+//! [`evaluate_grid`] spreads the points over one [`Parallelism`] region.
 //! All grid arithmetic is deterministic (no RNG), so parallel evaluation
 //! is trivially bit-identical to serial; the analog simulation reached
 //! through [`crate::analog::AnalogEngine`] keeps the same guarantee via
 //! per-work-item seed splitting (see `albireo-parallel`).
-//!
-//! Nested parallelism is deliberately avoided: the grid is the outer
-//! fan-out, so each grid point's per-layer scheduling runs serially
-//! inside its work item.
 
 use crate::config::{ChipConfig, TechnologyEstimate};
 use crate::energy::NetworkEvaluation;
@@ -29,70 +26,26 @@ pub struct GridResult {
     pub evaluation: NetworkEvaluation,
 }
 
-/// The evaluation engine: a [`Parallelism`] policy plus grid drivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalEngine {
+/// Evaluates the full (chip × estimate × network) grid, fanning the grid
+/// points across `par`'s workers. Results are returned in grid order
+/// (chips outermost, networks innermost) regardless of thread count.
+pub fn evaluate_grid(
     par: Parallelism,
-}
-
-impl Default for EvalEngine {
-    fn default() -> EvalEngine {
-        EvalEngine::new(Parallelism::default())
-    }
-}
-
-impl EvalEngine {
-    /// An engine with an explicit parallelism policy.
-    pub fn new(par: Parallelism) -> EvalEngine {
-        EvalEngine { par }
-    }
-
-    /// The engine's parallelism policy.
-    pub fn parallelism(&self) -> Parallelism {
-        self.par
-    }
-
-    /// Evaluates one network (per-layer scheduling runs under the
-    /// engine's policy).
-    pub fn evaluate(
-        &self,
-        chip: &ChipConfig,
-        estimate: TechnologyEstimate,
-        model: &Model,
-    ) -> NetworkEvaluation {
-        NetworkEvaluation::evaluate_with(chip, estimate, model, self.par)
-    }
-
-    /// Evaluates the full (chip × estimate × network) grid, fanning the
-    /// grid points across threads. Results are returned in grid order
-    /// (chips outermost, networks innermost) regardless of thread count.
-    pub fn evaluate_grid(
-        &self,
-        chips: &[(String, ChipConfig)],
-        estimates: &[TechnologyEstimate],
-        models: &[Model],
-    ) -> Vec<GridResult> {
-        let n = chips.len() * estimates.len() * models.len();
-        self.par.map_indexed(n, |i| {
-            let per_chip = estimates.len() * models.len();
-            let (ci, rest) = (i / per_chip, i % per_chip);
-            let (ei, mi) = (rest / models.len(), rest % models.len());
-            let (name, chip) = &chips[ci];
-            // Grid points are the outer fan-out; keep the inner
-            // scheduling serial so worker counts do not multiply.
-            let evaluation = NetworkEvaluation::evaluate_with(
-                chip,
-                estimates[ei],
-                &models[mi],
-                Parallelism::serial(),
-            );
-            GridResult {
-                chip_name: name.clone(),
-                estimate: estimates[ei],
-                evaluation,
-            }
-        })
-    }
+    chips: &[(String, ChipConfig)],
+    estimates: &[TechnologyEstimate],
+    models: &[Model],
+) -> Vec<GridResult> {
+    let per_chip = estimates.len() * models.len();
+    par.map_indexed(chips.len() * per_chip, |i| {
+        let (ci, rest) = (i / per_chip, i % per_chip);
+        let (ei, mi) = (rest / models.len(), rest % models.len());
+        let (name, chip) = &chips[ci];
+        GridResult {
+            chip_name: name.clone(),
+            estimate: estimates[ei],
+            evaluation: NetworkEvaluation::evaluate(chip, estimates[ei], &models[mi]),
+        }
+    })
 }
 
 /// The paper's standard grid: both chips, all three estimates, all four
@@ -118,17 +71,19 @@ pub fn paper_grid() -> (
 #[cfg(test)]
 mod tests {
     use super::*;
-    use albireo_nn::zoo;
 
     #[test]
     fn grid_order_is_stable_across_thread_counts() {
         let (chips, estimates, models) = paper_grid();
-        let serial =
-            EvalEngine::new(Parallelism::serial()).evaluate_grid(&chips, &estimates, &models);
+        let serial = evaluate_grid(Parallelism::serial(), &chips, &estimates, &models);
         assert_eq!(serial.len(), 2 * 3 * 4);
         for threads in [2, 8] {
-            let par = EvalEngine::new(Parallelism::with_threads(threads))
-                .evaluate_grid(&chips, &estimates, &models);
+            let par = evaluate_grid(
+                Parallelism::with_threads(threads),
+                &chips,
+                &estimates,
+                &models,
+            );
             assert_eq!(par, serial, "threads = {threads}");
         }
     }
@@ -136,7 +91,7 @@ mod tests {
     #[test]
     fn grid_layout_matches_indexing() {
         let (chips, estimates, models) = paper_grid();
-        let grid = EvalEngine::default().evaluate_grid(&chips, &estimates, &models);
+        let grid = evaluate_grid(Parallelism::default(), &chips, &estimates, &models);
         // Chips outermost: first half is albireo_9, second albireo_27.
         assert!(grid[..12].iter().all(|g| g.chip_name == "albireo_9"));
         assert!(grid[12..].iter().all(|g| g.chip_name == "albireo_27"));
@@ -156,12 +111,10 @@ mod tests {
     }
 
     #[test]
-    fn engine_evaluate_matches_direct_evaluation() {
-        let chip = ChipConfig::albireo_9();
-        let model = zoo::alexnet();
-        let direct = NetworkEvaluation::evaluate(&chip, TechnologyEstimate::Conservative, &model);
-        let engine = EvalEngine::new(Parallelism::with_threads(4));
-        let via_engine = engine.evaluate(&chip, TechnologyEstimate::Conservative, &model);
-        assert_eq!(direct, via_engine);
+    fn grid_points_match_direct_evaluation() {
+        let (chips, estimates, models) = paper_grid();
+        let grid = evaluate_grid(Parallelism::with_threads(4), &chips, &estimates, &models);
+        let direct = NetworkEvaluation::evaluate(&chips[0].1, estimates[0], &models[0]);
+        assert_eq!(grid[0].evaluation, direct);
     }
 }

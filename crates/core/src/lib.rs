@@ -31,8 +31,9 @@
 //!   counts for standard, grouped, depthwise, pointwise, and FC layers.
 //! * [`energy`] — per-layer and per-network latency / energy / EDP and the
 //!   Table IV throughput metrics.
-//! * [`engine`] — the parallel evaluation engine fanning the paper's
-//!   (chip × estimate × network) grid across threads deterministically.
+//! * [`engine`] — [`engine::evaluate_grid`], which fans the paper's
+//!   (chip × estimate × network) grid across threads deterministically
+//!   (each grid point's evaluation runs serially).
 //! * [`analog`] — a functional analog simulation of the photonic signal
 //!   chain (MZM multiply, MRR switching with crosstalk, balanced detection
 //!   with noise, ADC quantization), validated against the digital golden

@@ -2,11 +2,28 @@
 //!
 //! Every evaluation in the paper — the (chip × estimate × network) sweeps
 //! behind Tables 1–4 and the per-kernel analog signal-chain simulation —
-//! decomposes into independent work items (output kernels, output rows,
-//! sweep points). This crate provides the one primitive the rest of the
-//! workspace builds on: a *deterministically chunked* parallel map over
-//! `0..n`, plus a seed-splitting function so stochastic work items draw
-//! from per-item child generators instead of one shared sequential stream.
+//! decomposes into independent work items (output rows, sweep points,
+//! planner candidates, serving replicas). This crate provides the one
+//! primitive the rest of the workspace builds on: a *deterministically
+//! chunked* parallel map over `0..n`, plus a seed-splitting function so
+//! stochastic work items draw from per-item child generators instead of
+//! one shared sequential stream.
+//!
+//! # Fan out once, at the top
+//!
+//! A [`Parallelism`] value appears only where a run fans out its
+//! independent top-level work: the planner's screen and score phases,
+//! serving replicas and studies, the evaluation grid, the analog
+//! engine's output rows, the `bench` drivers and the CLI's `--threads`.
+//! Everything below runs serially — per-layer scheduling, cost
+//! evaluation and the reference tensor operators are plain loops,
+//! because a microsecond of arithmetic never pays for a thread spawn.
+//!
+//! One guarantee backs the rule: a region opened on a thread that is
+//! already a worker of another region runs inline, on that worker. Each
+//! spawned worker sets a thread-local flag, and [`Parallelism::map_indexed`]
+//! and [`Parallelism::fill_slices`] check it before spawning. So worker
+//! counts never multiply, whatever policy an inner caller holds.
 //!
 //! # Determinism contract
 //!
@@ -29,7 +46,8 @@
 //! # Observability
 //!
 //! When the process-wide [`albireo_obs::global`] handle is enabled, each
-//! parallel region records ambient counters — regions entered, items
+//! parallel region records ambient counters — regions entered, regions
+//! that actually started workers (`parallel.spawned_regions`), items
 //! executed, per-worker op counts (`parallel.worker.N.ops`), and merge
 //! events where worker chunks rejoin the caller's buffer. The hot path
 //! pays exactly one enabled-check branch per region (never per item),
@@ -37,33 +55,46 @@
 //! chunk size is a pure function of `(n, workers)`.
 //!
 //! When the wall-clock profiler is enabled
-//! ([`albireo_obs::profile::set_enabled`]), each parallel region also
+//! ([`albireo_obs::profile::set_enabled`]), each spawning region also
 //! times its dispatch+join on the caller (`parallel.join`) and each
 //! worker band on its own thread (`parallel.chunk`); both are excluded
 //! from every determinism digest.
 
 use albireo_obs::profile;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Sentinel meaning "one thread per available core".
 const AUTO: usize = 0;
 
+thread_local! {
+    /// Set on every worker thread a region spawns, so a region opened
+    /// inside a worker runs inline instead of spawning again.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a worker of a parallel region (and so
+/// runs any region it opens inline).
+fn in_worker() -> bool {
+    IN_WORKER.with(Cell::get)
+}
+
 /// Records the ambient counters for one parallel region: `n` items run
 /// across `workers` workers with static `chunk`-sized bands, plus one
 /// merge event per band rejoining the output. No-op unless the global
 /// obs handle is enabled (single branch).
-fn record_region(kind: &str, n: usize, workers: usize, chunk: usize) {
+fn record_region(n: usize, workers: usize, chunk: usize) {
     let obs = albireo_obs::global();
     if !obs.is_enabled() {
         return;
     }
     obs.counter("parallel.regions").add(1);
-    obs.counter(&format!("parallel.{kind}.regions")).add(1);
     obs.counter("parallel.items").add(n as u64);
     if workers <= 1 {
         obs.counter("parallel.worker.0.ops").add(n as u64);
         return;
     }
+    obs.counter("parallel.spawned_regions").add(1);
     let mut remaining = n;
     let mut w = 0usize;
     while remaining > 0 {
@@ -81,8 +112,8 @@ static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(AUTO);
 
 /// Parallel execution policy: how many threads a parallel region may use.
 ///
-/// `Copy` so it threads through the simulator's config structs the same
-/// way `ChipConfig` does. The zero value means "auto" (all cores).
+/// `Copy`, so a top-level fan-out can hold it by value. The zero value
+/// means "auto" (all cores).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
     /// Requested worker count; 0 = one per available core.
@@ -93,7 +124,9 @@ impl Default for Parallelism {
     /// The process-wide default set via [`Parallelism::set_global`]
     /// (auto, i.e. all cores, unless overridden).
     fn default() -> Parallelism {
-        Parallelism::global()
+        Parallelism {
+            threads: GLOBAL_THREADS.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -113,14 +146,8 @@ impl Parallelism {
         Parallelism { threads }
     }
 
-    /// The process-wide default used by `Parallelism::default()`.
-    pub fn global() -> Parallelism {
-        Parallelism {
-            threads: GLOBAL_THREADS.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Sets the process-wide default (e.g. from a `--threads N` CLI flag).
+    /// Sets the process-wide default returned by `Parallelism::default()`
+    /// (e.g. from a `--threads N` CLI flag).
     pub fn set_global(par: Parallelism) {
         GLOBAL_THREADS.store(par.threads, Ordering::Relaxed);
     }
@@ -136,52 +163,28 @@ impl Parallelism {
         }
     }
 
-    /// Whether this policy is exactly one worker.
-    pub fn is_serial(&self) -> bool {
-        self.resolved_threads() <= 1
-    }
-
     /// Runs `f(i)` for every `i in 0..n` and collects the results in
     /// index order. Deterministic: identical output for any thread count.
+    /// Runs inline when called from inside a worker.
     pub fn map_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let workers = self.resolved_threads().min(n.max(1));
-        if workers <= 1 || n <= 1 {
-            record_region("map", n, 1, n.max(1));
-            return (0..n).map(f).collect();
-        }
         let mut out: Vec<Option<T>> = Vec::with_capacity(n);
         out.resize_with(n, || None);
-        let chunk = n.div_ceil(workers);
-        record_region("map", n, workers, chunk);
-        // Caller-side: dispatch + join wait; worker-side: each band is
-        // its own wall-clock profile root (concurrent time must not
-        // nest under the caller, which already measures the join).
-        let _join = profile::scope("parallel.join");
-        std::thread::scope(|scope| {
-            for (w, slots) in out.chunks_mut(chunk).enumerate() {
-                let f = &f;
-                scope.spawn(move || {
-                    let _chunk = profile::scope("parallel.chunk");
-                    let base = w * chunk;
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(f(base + j));
-                    }
-                });
-            }
-        });
+        self.fill_slices(&mut out, 1, |i, slot| slot[0] = Some(f(i)));
         out.into_iter()
-            .map(|slot| slot.expect("worker filled every slot"))
+            .map(|slot| slot.expect("every slot is filled"))
             .collect()
     }
 
     /// Splits `data` into `n = data.len() / item_len` equal items and runs
     /// `f(i, item_slice)` for each, in parallel. The caller's buffer is
     /// written in place; item `i` always owns
-    /// `data[i * item_len .. (i + 1) * item_len]`.
+    /// `data[i * item_len .. (i + 1) * item_len]`. Runs inline (one
+    /// worker, the caller) inside a worker, for a serial policy or for
+    /// at most one item.
     ///
     /// # Panics
     ///
@@ -200,25 +203,32 @@ impl Parallelism {
             item_len
         );
         let n = data.len() / item_len;
-        let workers = self.resolved_threads().min(n.max(1));
-        if workers <= 1 || n <= 1 {
-            record_region("fill", n, 1, n.max(1));
+        let workers = if n <= 1 || in_worker() {
+            1
+        } else {
+            self.resolved_threads().min(n)
+        };
+        let chunk = n.div_ceil(workers).max(1);
+        record_region(n, workers, chunk);
+        if workers <= 1 {
             for (i, item) in data.chunks_mut(item_len).enumerate() {
                 f(i, item);
             }
             return;
         }
-        let chunk = n.div_ceil(workers);
-        record_region("fill", n, workers, chunk);
+        // Caller-side: dispatch + join wait; worker-side: each band is
+        // its own wall-clock profile root (concurrent time must not nest
+        // under the caller, which already measures the join). Every
+        // worker marks its thread, so regions it opens run inline.
         let _join = profile::scope("parallel.join");
         std::thread::scope(|scope| {
             for (w, band) in data.chunks_mut(chunk * item_len).enumerate() {
                 let f = &f;
                 scope.spawn(move || {
+                    IN_WORKER.with(|flag| flag.set(true));
                     let _chunk = profile::scope("parallel.chunk");
-                    let base = w * chunk;
                     for (j, item) in band.chunks_mut(item_len).enumerate() {
-                        f(base + j, item);
+                        f(w * chunk + j, item);
                     }
                 });
             }
@@ -308,6 +318,26 @@ mod tests {
     }
 
     #[test]
+    fn regions_inside_a_worker_run_inline_on_it() {
+        assert!(!in_worker());
+        let outer = Parallelism::with_threads(2).map_indexed(2, |i| {
+            let me = std::thread::current().id();
+            let inner = Parallelism::with_threads(4)
+                .map_indexed(5, |j| (std::thread::current().id() == me, i * 10 + j));
+            (in_worker(), inner)
+        });
+        for (i, (was_worker, inner)) in outer.into_iter().enumerate() {
+            assert!(was_worker, "item {i} ran on a spawned worker");
+            let expected: Vec<(bool, usize)> = (0..5).map(|j| (true, i * 10 + j)).collect();
+            assert_eq!(
+                inner, expected,
+                "inner region of item {i} ran inline, in order"
+            );
+        }
+        assert!(!in_worker(), "the caller is never marked");
+    }
+
+    #[test]
     fn split_seed_is_pure_and_collision_resistant() {
         assert_eq!(split_seed(42, 7), split_seed(42, 7));
         let mut seen = std::collections::HashSet::new();
@@ -345,12 +375,12 @@ mod tests {
         // on deltas with `>=` rather than exact equality.
         let obs = albireo_obs::global();
         let items_before = obs.counter("parallel.items").get();
-        let regions_before = obs.counter("parallel.map.regions").get();
+        let regions_before = obs.counter("parallel.regions").get();
         obs.set_enabled(true);
         Parallelism::with_threads(3).map_indexed(10, |i| i);
         obs.set_enabled(false);
         assert!(obs.counter("parallel.items").get() >= items_before + 10);
-        assert!(obs.counter("parallel.map.regions").get() > regions_before);
+        assert!(obs.counter("parallel.regions").get() > regions_before);
         // Three workers over 10 items: chunks 4/4/2, all accounted for.
         let per_worker: u64 = (0..3)
             .map(|w| obs.counter(&format!("parallel.worker.{w}.ops")).get())
@@ -362,17 +392,16 @@ mod tests {
     fn obs_disabled_records_nothing() {
         let _guard = obs_test_lock();
         let obs = albireo_obs::global();
-        let before = obs.counter("parallel.fill.regions").get();
+        let before = obs.counter("parallel.regions").get();
         // Disabled (the default): this region must not bump the counter.
         let mut data = vec![0u8; 6];
         Parallelism::serial().fill_slices(&mut data, 3, |_, _| {});
-        assert_eq!(obs.counter("parallel.fill.regions").get(), before);
+        assert_eq!(obs.counter("parallel.regions").get(), before);
     }
 
     #[test]
     fn resolved_threads_and_global_default() {
         assert_eq!(Parallelism::serial().resolved_threads(), 1);
-        assert!(Parallelism::serial().is_serial());
         assert_eq!(Parallelism::with_threads(4).resolved_threads(), 4);
         assert!(Parallelism::auto().resolved_threads() >= 1);
     }

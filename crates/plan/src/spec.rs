@@ -418,7 +418,11 @@ impl PlanSpec {
         if self.queue_capacity == 0 {
             return Err("queue-cap must be at least 1 (or `unbounded`)".to_string());
         }
-        Ok(())
+        // Smaller candidates clip the scenario to their chips, but a
+        // clause past even the largest fleet would fault nothing at all.
+        self.faults
+            .check_fleet(self.max_chips)
+            .map_err(|e| format!("faults: {e}, the largest max-chips allows"))
     }
 }
 
@@ -583,6 +587,8 @@ mod tests {
             "rate=2000;slo=p99<5ms;chips=edge=albireo_9:C",                  // aliased kind
             "rate=2000;slo=p99<5ms;chips=albireo_9:C;faults=melt:0@1",       // unknown clause
             "rate=2000;slo=p99<5ms;chips=albireo_9:C;faults=fail:0@-1",      // negative time
+            "rate=2000;slo=p99<5ms;chips=albireo_9:C;max-chips=2;faults=fail:99@0.01", // no chip
+            "rate=2000;slo=p99<5ms;chips=albireo_9:C;max-chips=2;faults=rack:2-5@0.01", // no chip
         ] {
             assert!(PlanSpec::parse(bad).is_err(), "`{bad}` should be rejected");
         }

@@ -188,6 +188,13 @@ fn plan_strategy() -> impl Strategy<Value = PlanSpec> {
                 });
             }
             let screen_requests = 1 + (screen_frac * (requests - 1) as f64) as usize;
+            // Every fault clause must name a chip of the largest fleet;
+            // generated chip indices are all below 8.
+            let max_chips = if faults.check_fleet(max_chips).is_ok() {
+                max_chips
+            } else {
+                8
+            };
             PlanSpec {
                 workload,
                 requests,

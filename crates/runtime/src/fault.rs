@@ -292,6 +292,25 @@ impl FaultSpec {
         Ok(FaultSpec { clauses })
     }
 
+    /// Checks that every clause names at least one chip of a
+    /// `fleet_size`-chip fleet. A range that overlaps the fleet is legal
+    /// (it is clipped); a clause entirely past it would compile to
+    /// nothing, so it is an error rather than a silent no-op.
+    pub fn check_fleet(&self, fleet_size: usize) -> Result<(), String> {
+        let names_no_chip = |clause: &&FaultClause| {
+            let alone = FaultSpec {
+                clauses: vec![(*clause).clone()],
+            };
+            !matches!(clause, FaultClause::Crews { .. }) && alone.compile(fleet_size).is_empty()
+        };
+        match self.clauses.iter().find(names_no_chip) {
+            Some(clause) => Err(format!(
+                "fault clause `{clause}` names no chip of a {fleet_size}-chip fleet"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Expands the spec against a concrete fleet of `fleet_size` chips.
     ///
     /// Clauses naming chips `>= fleet_size` contribute nothing (ranges
@@ -488,32 +507,38 @@ fn parse_clause(clause: &str) -> Result<FaultClause, String> {
     }
 }
 
+impl fmt::Display for FaultClause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FaultClause::Fail { chip, at_s } => write!(f, "fail:{chip}@{at_s}"),
+            FaultClause::Recover { chip, at_s } => write!(f, "recover:{chip}@{at_s}"),
+            FaultClause::Degrade { chip, at_s, count } => {
+                write!(f, "degrade:{chip}@{at_s}:{count}")
+            }
+            FaultClause::Rack { from, to, at_s } => write!(f, "rack:{from}-{to}@{at_s}"),
+            FaultClause::Thermal {
+                from,
+                to,
+                start_s,
+                end_s,
+                count,
+            } => write!(f, "thermal:{from}-{to}@{start_s}-{end_s}:{count}"),
+            FaultClause::Crews {
+                crews,
+                mean_s,
+                seed,
+            } => write!(f, "crews:{crews}:{mean_s}:{seed}"),
+        }
+    }
+}
+
 impl fmt::Display for FaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, clause) in self.clauses.iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
-            match *clause {
-                FaultClause::Fail { chip, at_s } => write!(f, "fail:{chip}@{at_s}")?,
-                FaultClause::Recover { chip, at_s } => write!(f, "recover:{chip}@{at_s}")?,
-                FaultClause::Degrade { chip, at_s, count } => {
-                    write!(f, "degrade:{chip}@{at_s}:{count}")?
-                }
-                FaultClause::Rack { from, to, at_s } => write!(f, "rack:{from}-{to}@{at_s}")?,
-                FaultClause::Thermal {
-                    from,
-                    to,
-                    start_s,
-                    end_s,
-                    count,
-                } => write!(f, "thermal:{from}-{to}@{start_s}-{end_s}:{count}")?,
-                FaultClause::Crews {
-                    crews,
-                    mean_s,
-                    seed,
-                } => write!(f, "crews:{crews}:{mean_s}:{seed}")?,
-            }
+            write!(f, "{clause}")?;
         }
         Ok(())
     }
@@ -664,6 +689,40 @@ mod tests {
             scenario.events()
         );
         assert!(spec.compile(0).is_empty());
+    }
+
+    #[test]
+    fn check_fleet_rejects_clauses_that_name_no_chip() {
+        let fleet = 2;
+        for ok in [
+            "fail:1@0.01",
+            "recover:0@0.01",
+            "degrade:1@0.01:2",
+            "rack:1-9@0.01",
+            "thermal:0-7@0.1-0.2:1",
+            "crews:3:0.5:1",
+            "",
+        ] {
+            let spec = FaultSpec::parse(ok).unwrap();
+            assert_eq!(spec.check_fleet(fleet), Ok(()), "`{ok}`");
+        }
+        for bad in [
+            "fail:99@0.01",
+            "recover:2@0.01",
+            "degrade:2@0.01:1",
+            "rack:5-9@0.01",
+            "thermal:2-3@0.1-0.2:1",
+            "fail:0@0.01,rack:2-2@0.02",
+        ] {
+            let err = FaultSpec::parse(bad)
+                .unwrap()
+                .check_fleet(fleet)
+                .unwrap_err();
+            assert!(
+                err.contains("names no chip of a 2-chip fleet"),
+                "`{bad}`: {err}"
+            );
+        }
     }
 
     #[test]

@@ -121,14 +121,18 @@ impl FleetConfig {
     /// labels and reports. Aliases must be unique across the fleet —
     /// a duplicate alias is a spec error, never last-one-wins — while
     /// *unaliased* duplicate entries stay legal (two `albireo_9:C`
-    /// entries are simply a two-chip fleet).
+    /// entries are simply a two-chip fleet). An empty entry (`a,,b`, or a
+    /// leading or trailing comma) is an error, not a skipped chip.
     pub fn parse(spec: &str, models: Vec<Model>) -> Result<FleetConfig, String> {
         let mut chips: Vec<ChipSpec> = Vec::new();
         let mut aliases: Vec<String> = Vec::new();
+        if spec.trim().is_empty() {
+            return Err("fleet spec names no chips".to_string());
+        }
         for entry in spec.split(',') {
             let entry = entry.trim();
             if entry.is_empty() {
-                continue;
+                return Err(format!("empty entry in fleet spec `{spec}`"));
             }
             let (alias, entry) = match entry.split_once('=') {
                 Some((a, rest)) => {
@@ -239,9 +243,6 @@ impl FleetConfig {
                 None => spec,
             };
             chips.push(spec);
-        }
-        if chips.is_empty() {
-            return Err("fleet spec names no chips".to_string());
         }
         for alias in &aliases {
             if chips.iter().filter(|c| &c.name == alias).count() > 1 {
@@ -412,6 +413,15 @@ mod tests {
         let custom = FleetConfig::parse("ng18:M", zoo::all_benchmarks()).unwrap();
         assert_eq!(custom.chips[0].accel.compute_groups(), 18);
         assert!(FleetConfig::parse("", zoo::all_benchmarks()).is_err());
+        for empty_entry in [
+            "albireo_9:C,,albireo_27:C",
+            "albireo_9:C,",
+            ",albireo_9:C",
+            " , ",
+        ] {
+            let err = FleetConfig::parse(empty_entry, zoo::all_benchmarks()).unwrap_err();
+            assert!(err.contains("empty entry"), "{empty_entry}: {err}");
+        }
         assert!(FleetConfig::parse("albireo_9:X", zoo::all_benchmarks()).is_err());
         assert!(FleetConfig::parse("ng0", zoo::all_benchmarks()).is_err());
         assert!(FleetConfig::parse("tpu", zoo::all_benchmarks()).is_err());

@@ -400,18 +400,20 @@ impl SimSnapshot {
     /// Parses an `albireo.snapshot/v1` text snapshot, verifying the
     /// trailing self-digest before interpreting a single field.
     pub fn parse(text: &str) -> Result<SimSnapshot, String> {
-        let stripped = text.strip_suffix('\n').unwrap_or(text);
+        let stripped = text
+            .strip_suffix('\n')
+            .ok_or_else(|| "snapshot does not end with a newline (truncated write)".to_string())?;
         let (head, last) = stripped
             .rsplit_once('\n')
             .ok_or_else(|| "snapshot too short".to_string())?;
         let digest_hex = last
             .strip_prefix("digest ")
             .ok_or_else(|| format!("last line must be `digest <hex>`, found `{last}`"))?;
-        let want = u64::from_str_radix(digest_hex, 16)
-            .map_err(|e| format!("bad digest `{digest_hex}`: {e}"))?;
         let body = &text[..head.len() + 1];
         let got = fnv1a(body.as_bytes());
-        if want != got {
+        // Compared as text: `{:016x}` is the writer's only spelling, so an
+        // upper-cased or `+`-prefixed digest is an edit like any other.
+        if digest_hex != format!("{got:016x}") {
             return Err(format!(
                 "snapshot digest mismatch: file says {digest_hex}, content hashes to {got:016x} \
                  (truncated write or edited file)"

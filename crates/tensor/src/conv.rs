@@ -5,7 +5,6 @@
 
 use crate::shape::output_extent;
 use crate::{Tensor3, Tensor4};
-use albireo_parallel::Parallelism;
 
 /// Stride/padding specification for a convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,18 +83,6 @@ fn receptive_field_dot(input: &Tensor3, kernels: &Tensor4, m: usize, x0: isize, 
 /// assert_eq!(out[(0, 0, 0)], 18.0);
 /// ```
 pub fn conv2d(input: &Tensor3, kernels: &Tensor4, spec: &ConvSpec) -> Tensor3 {
-    conv2d_with(input, kernels, spec, Parallelism::default())
-}
-
-/// [`conv2d`] under an explicit [`Parallelism`] policy. Output kernels are
-/// independent work items (kernel `m` owns the contiguous `By × Bx` output
-/// plane), so the result is bit-identical at any thread count.
-pub fn conv2d_with(
-    input: &Tensor3,
-    kernels: &Tensor4,
-    spec: &ConvSpec,
-    par: Parallelism,
-) -> Tensor3 {
     let _prof = albireo_obs::profile::scope("tensor.conv2d");
     let (az, ay, ax) = input.dims();
     let (wm, wz, wy, wx) = kernels.dims();
@@ -104,14 +91,14 @@ pub fn conv2d_with(
     let by = output_extent(ay, wy, spec.padding, spec.stride);
     let mut out = Tensor3::zeros(wm, by, bx);
     let pad = spec.padding as isize;
-    par.fill_slices(out.as_mut_slice(), (by * bx).max(1), |m, plane| {
+    for (m, plane) in out.as_mut_slice().chunks_mut((by * bx).max(1)).enumerate() {
         for (yb, ya) in (0..by).zip((0..).step_by(spec.stride)) {
             for (xb, xa) in (0..bx).zip((0..).step_by(spec.stride)) {
                 plane[yb * bx + xb] =
                     receptive_field_dot(input, kernels, m, xa as isize - pad, ya as isize - pad);
             }
         }
-    });
+    }
     out
 }
 
@@ -184,17 +171,6 @@ pub fn conv2d_grouped(
 /// Panics if the kernel count differs from the channel count or kernels are
 /// not single-channel.
 pub fn depthwise_conv(input: &Tensor3, kernels: &Tensor4, spec: &ConvSpec) -> Tensor3 {
-    depthwise_conv_with(input, kernels, spec, Parallelism::default())
-}
-
-/// [`depthwise_conv`] under an explicit [`Parallelism`] policy; channels
-/// are the independent work items.
-pub fn depthwise_conv_with(
-    input: &Tensor3,
-    kernels: &Tensor4,
-    spec: &ConvSpec,
-    par: Parallelism,
-) -> Tensor3 {
     let (az, ay, ax) = input.dims();
     let (wm, wz, wy, wx) = kernels.dims();
     assert_eq!(wm, az, "need one depthwise kernel per channel");
@@ -203,7 +179,7 @@ pub fn depthwise_conv_with(
     let by = output_extent(ay, wy, spec.padding, spec.stride);
     let mut out = Tensor3::zeros(az, by, bx);
     let pad = spec.padding as isize;
-    par.fill_slices(out.as_mut_slice(), (by * bx).max(1), |c, plane| {
+    for (c, plane) in out.as_mut_slice().chunks_mut((by * bx).max(1)).enumerate() {
         for (yb, ya) in (0..by).zip((0..).step_by(spec.stride)) {
             for (xb, xa) in (0..bx).zip((0..).step_by(spec.stride)) {
                 let mut acc = 0.0;
@@ -220,7 +196,7 @@ pub fn depthwise_conv_with(
                 plane[yb * bx + xb] = acc;
             }
         }
-    });
+    }
     out
 }
 
@@ -233,18 +209,12 @@ pub fn depthwise_conv_with(
 ///
 /// Panics if the kernel spatial extent is not 1×1 or depths mismatch.
 pub fn pointwise_conv(input: &Tensor3, kernels: &Tensor4) -> Tensor3 {
-    pointwise_conv_with(input, kernels, Parallelism::default())
-}
-
-/// [`pointwise_conv`] under an explicit [`Parallelism`] policy; output
-/// channels are the independent work items.
-pub fn pointwise_conv_with(input: &Tensor3, kernels: &Tensor4, par: Parallelism) -> Tensor3 {
     let (az, ay, ax) = input.dims();
     let (wm, wz, wy, wx) = kernels.dims();
     assert_eq!((wy, wx), (1, 1), "pointwise kernels are 1x1");
     assert_eq!(wz, az, "kernel depth must equal input depth");
     let mut out = Tensor3::zeros(wm, ay, ax);
-    par.fill_slices(out.as_mut_slice(), (ay * ax).max(1), |m, plane| {
+    for (m, plane) in out.as_mut_slice().chunks_mut((ay * ax).max(1)).enumerate() {
         for y in 0..ay {
             for x in 0..ax {
                 let mut acc = 0.0;
@@ -254,7 +224,7 @@ pub fn pointwise_conv_with(input: &Tensor3, kernels: &Tensor4, par: Parallelism)
                 plane[y * ax + x] = acc;
             }
         }
-    });
+    }
     out
 }
 

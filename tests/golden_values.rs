@@ -230,13 +230,17 @@ fn scheduler_cycle_counts_match_golden_latencies() {
 /// thread count reproduces the committed numbers bit-for-bit.
 #[test]
 fn golden_values_hold_under_parallel_evaluation() {
-    use albireo_core::engine::{paper_grid, EvalEngine};
+    use albireo_core::engine::{evaluate_grid, paper_grid};
     use albireo_parallel::Parallelism;
     let (chips, estimates, models) = paper_grid();
     let golden = results_csv("golden_network_metrics.csv");
     for threads in [1usize, 2, 8] {
-        let grid = EvalEngine::new(Parallelism::with_threads(threads))
-            .evaluate_grid(&chips, &estimates, &models);
+        let grid = evaluate_grid(
+            Parallelism::with_threads(threads),
+            &chips,
+            &estimates,
+            &models,
+        );
         for g in &grid {
             let tag = format!("albireo_{}", g.estimate.suffix());
             let row = golden

@@ -86,14 +86,16 @@ fn table_iv_latency_shape() {
     let vgg = NetworkEvaluation::evaluate(&chip, TechnologyEstimate::Conservative, &zoo::vgg16());
     let alex =
         NetworkEvaluation::evaluate(&chip, TechnologyEstimate::Conservative, &zoo::alexnet());
-    // Paper: 2.55 ms VGG16, 0.13 ms AlexNet on Albireo-C.
+    // Paper: 2.55 ms VGG16, 0.13 ms AlexNet on Albireo-C. Bounds are the
+    // measured errors (12.9%, 58.3%) plus about two points, as in
+    // `albireo bench oracles`.
     assert!(
-        (vgg.latency_s * 1e3 - 2.55).abs() / 2.55 < 0.35,
+        (vgg.latency_s * 1e3 - 2.55).abs() / 2.55 < 0.15,
         "{}",
         vgg.latency_s * 1e3
     );
     assert!(
-        (alex.latency_s * 1e3 - 0.13).abs() / 0.13 < 1.0,
+        (alex.latency_s * 1e3 - 0.13).abs() / 0.13 < 0.61,
         "{}",
         alex.latency_s * 1e3
     );
